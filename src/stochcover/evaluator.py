@@ -162,16 +162,23 @@ class _OptimumSolver:
         self.infeasible_nu = False
         self.infeasible_mu = self.side is None  # no general matching solver here
 
-    def nu(self, mask: np.ndarray) -> int:
+    def solve(self, mask: np.ndarray, need_nu: bool, need_mu: bool) -> tuple[int, int]:
+        """(nu, mu) of one realization; 0 for a value not needed or out of reach.
+
+        On a bipartite graph one Hopcroft-Karp run gives both, since
+        nu = mu there (Konig's theorem).  Otherwise mu is out of reach, and
+        nu comes from branch and bound until it first exceeds the budget.
+        """
         if self.side is not None:
             _pair, _pedge, size = hk_on_mask(self.graph, self.side, mask)
-            return size
-        _cover, size = mvc_general_on_mask(self.graph, mask, self.budget)
-        return size
-
-    def mu(self, mask: np.ndarray) -> int:
-        _pair, _pedge, size = hk_on_mask(self.graph, self.side, mask)
-        return size
+            return (size if need_nu else 0), (size if need_mu else 0)
+        if not need_nu or self.infeasible_nu:
+            return 0, 0
+        try:
+            return mvc_general_on_mask(self.graph, mask, self.budget)[1], 0
+        except CapacityError:
+            self.infeasible_nu = True
+            return 0, 0
 
 
 def evaluate_strategies(
@@ -217,13 +224,8 @@ def evaluate_strategies(
             ans = respond_strategy(plan, mask[q_indices[j]])
             answer_sizes[j, k] = ans.size
             violations[j, k] = validity_check(ans, real)
-        if need_nu and not solver.infeasible_nu:
-            try:
-                nu_vals[k] = solver.nu(mask)
-            except CapacityError:
-                solver.infeasible_nu = True
-        if need_mu and not solver.infeasible_mu:
-            mu_vals[k] = solver.mu(mask)
+        if need_nu or need_mu:
+            nu_vals[k], mu_vals[k] = solver.solve(mask, need_nu, need_mu)
 
     if threads == 1:
         for k in range(trials):

@@ -41,9 +41,12 @@ class Graph:
 
     Immutable after construction.  `bipartite_hint` is advisory metadata from
     the text format (vertices 0..hint-1 claimed to form one side); it is
-    never trusted, `bipartition` recomputes sides from scratch.
+    never trusted, `bipartition` computes sides from the edges.
     `parent_edges` maps this graph's edge indices back to the edge indices of
     the graph it was derived from, when it was derived at all.
+
+    Derived data (endpoint arrays, adjacency, the bipartition, oriented
+    endpoints) is computed on first use and cached on the instance.
     """
 
     n: int
@@ -93,6 +96,36 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
+
+    @cached_property
+    def _bipartition(self) -> Optional["Bipartition"]:
+        return _two_color(self)
+
+    def oriented_endpoints(self, side) -> tuple[list[int], list[int], bool]:
+        """Per edge, its side-0 ("left") and other ("right") endpoint.
+
+        Returns (left, right, proper) with `left`/`right` as Python lists
+        indexed by edge; `proper` is False when some edge has no side-0
+        endpoint (then that edge's `left` is its second endpoint).  The
+        result is cached for the most recent side contents, so any side
+        array a caller passes is honoured; a read-only array that owns its
+        data, such as the cached bipartition's, is recognised by identity.
+        """
+        cached = self.__dict__.get("_oriented")
+        if cached is not None and side is cached[0]:
+            return cached[2]
+        is_right = np.asarray(side) != 0
+        key = is_right.tobytes()
+        if cached is None or cached[1] != key:
+            u, v = self.edge_u, self.edge_v
+            swap = is_right[u]
+            proper = not bool(np.any(swap & is_right[v]))
+            oriented = (np.where(swap, v, u).tolist(), np.where(swap, u, v).tolist(), proper)
+        else:
+            oriented = cached[2]
+        frozen = isinstance(side, np.ndarray) and not side.flags.writeable and side.base is None
+        self.__dict__["_oriented"] = (side if frozen else None, key, oriented)
+        return oriented
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(e for (_, e) in self.adjacency[v])
@@ -258,8 +291,13 @@ def bipartition(graph: Graph) -> Optional[Bipartition]:
     """Two-color by BFS, or None if some cycle is odd.
 
     Deterministic: components are rooted at their lowest-index vertex and the
-    root always gets side A.
+    root always gets side A.  Computed once per graph: repeated calls return
+    the same object, whose `side` array is read-only.
     """
+    return graph._bipartition
+
+
+def _two_color(graph: Graph) -> Optional[Bipartition]:
     side = np.full(graph.n, -1, dtype=np.int8)
     adj = graph.adjacency
     for root in range(graph.n):
@@ -278,6 +316,7 @@ def bipartition(graph: Graph) -> Optional[Bipartition]:
                     elif side[w] == su:
                         return None
             queue = nxt
+    side.flags.writeable = False
     return Bipartition(graph, side)
 
 

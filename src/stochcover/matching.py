@@ -13,11 +13,10 @@ on large general graphs.
 """
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -115,18 +114,165 @@ class VertexCover:
 # --- bipartite maximum matching ----------------------------------------------
 
 
-def _left_adjacency(
-    graph: Graph, side: np.ndarray, edge_indices: Sequence[int]
-) -> list[list[tuple[int, int]]]:
-    """Adjacency (right vertex, edge index) for left vertices, edge order."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    edges = graph.edges
-    for e in edge_indices:
-        u, v = edges[e]
-        if side[u] != 0:
-            u, v = v, u
-        adj[u].append((v, e))
-    return adj
+class _Adjacency:
+    """Masked bipartite adjacency, built once and shared by HK and Konig.
+
+    For each left (side-0) vertex u, `nbr[u]` lists the right endpoints and
+    `eid[u]` the edge indices of its edges, both in the order the edges were
+    given, which fixes the tie-breaking.  `active` lists the vertices with
+    at least one edge and `lefts` the side-0 vertices among them.
+    """
+
+    __slots__ = ("nbr", "eid", "active", "lefts")
+
+    def __init__(self, graph: Graph, side: np.ndarray, edge_indices: Iterable[int]):
+        left, right, proper = graph.oriented_endpoints(side)
+        n = graph.n
+        nbr: list[list[int]] = [[] for _ in range(n)]
+        eid: list[list[int]] = [[] for _ in range(n)]
+        for e in edge_indices:
+            u = left[e]
+            nbr[u].append(right[e])
+            eid[u].append(e)
+        self.nbr = nbr
+        self.eid = eid
+        self.active = [u for u in range(n) if nbr[u]]
+        # every edge has a side-0 endpoint on a proper side array, so the
+        # vertices holding edges are exactly the side-0 ones
+        self.lefts = self.active if proper else [u for u in self.active if side[u] == 0]
+
+
+def _mask_edges(graph: Graph, mask: Optional[np.ndarray]) -> Sequence[int]:
+    if mask is None:
+        return range(graph.m)
+    return np.nonzero(np.asarray(mask, dtype=bool))[0].tolist()
+
+
+def _augment(
+    root: int,
+    nbr: list[list[int]],
+    eid: list[list[int]],
+    pair: list[int],
+    pedge: list[int],
+    dist: list[int],
+) -> bool:
+    """Layered DFS for one augmenting path from `root`, iteratively.
+
+    Tries edges in adjacency order exactly as the recursive search
+    (descend into w = pair[v] when dist[w] is one more) would, so it applies
+    the same path.  `stack` holds the suspended frames as (left vertex,
+    index of the edge being tried); on success those edges become matched.
+    """
+    stack: list[tuple[int, int]] = []
+    u = root
+    i = 0
+    row = nbr[u]
+    k = len(row)
+    du = dist[u] + 1
+    while True:
+        while i < k:
+            w = pair[row[i]]
+            if w < 0:
+                stack.append((u, i))
+                for x, j in stack:
+                    v = nbr[x][j]
+                    e = eid[x][j]
+                    pair[x] = v
+                    pair[v] = x
+                    pedge[x] = e
+                    pedge[v] = e
+                return True
+            if dist[w] == du:
+                break
+            i += 1
+        if i < k:
+            stack.append((u, i))
+            u = w
+            i = 0
+            du += 1
+        else:
+            dist[u] = _INF
+            if not stack:
+                return False
+            u, i = stack.pop()
+            i += 1
+            du -= 1
+        row = nbr[u]
+        k = len(row)
+
+
+def _hopcroft_karp(adj: _Adjacency, pair: list[int], pedge: list[int]) -> int:
+    """Grow the matching in `pair`/`pedge` in place to maximum; returns its size."""
+    nbr = adj.nbr
+    eid = adj.eid
+    lefts = adj.lefts
+    dist = [_INF] * len(nbr)
+    size = sum(1 for u in lefts if pair[u] >= 0)
+    while True:
+        queue: list[int] = []
+        for u in lefts:
+            if pair[u] < 0:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = _INF
+        found = False
+        for u in queue:  # breadth first: the loop also visits appended vertices
+            du = dist[u] + 1
+            for v in nbr[u]:
+                w = pair[v]
+                if w < 0:
+                    found = True
+                elif dist[w] == _INF:
+                    dist[w] = du
+                    queue.append(w)
+        if not found:
+            return size
+        for u in lefts:
+            if pair[u] < 0 and _augment(u, nbr, eid, pair, pedge, dist):
+                size += 1
+
+
+def _konig(adj: _Adjacency, pair: Sequence[int], n: int, strict: bool) -> np.ndarray:
+    """Cover from alternating reachability over the adjacency; see konig_cover_from_pairs."""
+    nbr = adj.nbr
+    active = adj.active
+    seen_l = [False] * n
+    seen_r = [False] * n
+    queue = [u for u in active if pair[u] < 0]
+    for u in queue:
+        seen_l[u] = True
+    free = len(queue)
+    reached_r: list[int] = []
+    for u in queue:
+        for v in nbr[u]:
+            if not seen_r[v]:
+                seen_r[v] = True
+                reached_r.append(v)
+                w = pair[v]
+                if w >= 0 and not seen_l[w]:
+                    seen_l[w] = True
+                    queue.append(w)
+    cover = np.zeros(n, dtype=bool)
+    cover[[u for u in active if not seen_l[u]]] = True
+    cover[reached_r] = True
+    if strict:
+        msize = len(active) - free
+        csize = int(np.count_nonzero(cover))
+        if csize != msize:
+            raise StructuralError(
+                f"cover/matching size mismatch ({csize} vs {msize}); "
+                "input matching was not maximum"
+            )
+    return cover
+
+
+def _start_pairs(
+    n: int, init_pair: Optional[Sequence[int]], init_pair_edge: Optional[Sequence[int]]
+) -> tuple[list[int], list[int]]:
+    if init_pair is None:
+        return [-1] * n, [-1] * n
+    return list(init_pair), list(init_pair_edge)  # type: ignore[arg-type]
 
 
 def hk_on_mask(
@@ -145,66 +291,11 @@ def hk_on_mask(
     contract); they are not modified.  `edge_indices`, when given, overrides
     the mask and fixes the adjacency (tie-breaking) order.
     """
-    n = graph.n
     if edge_indices is None:
-        if mask is None:
-            edge_indices = range(graph.m)
-        else:
-            edge_indices = np.nonzero(np.asarray(mask, dtype=bool))[0].tolist()
-    adj = _left_adjacency(graph, side, edge_indices)
-    if init_pair is not None:
-        pair = list(init_pair)
-        pedge = list(init_pair_edge)  # type: ignore[arg-type]
-    else:
-        pair = [-1] * n
-        pedge = [-1] * n
-
-    lefts = [v for v in range(n) if side[v] == 0 and adj[v]]
-    dist = [_INF] * n
-
-    need = 2 * n + 64
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in lefts:
-            if pair[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for (v, _e) in adj[u]:
-                w = pair[v]
-                if w < 0:
-                    found = True
-                elif dist[w] == _INF:
-                    dist[w] = du
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        du = dist[u] + 1
-        for (v, e) in adj[u]:
-            w = pair[v]
-            if w < 0 or (dist[w] == du and dfs(w)):
-                pair[u] = v
-                pair[v] = u
-                pedge[u] = e
-                pedge[v] = e
-                return True
-        dist[u] = _INF
-        return False
-
-    size = sum(1 for u in lefts if pair[u] >= 0)
-    while bfs():
-        for u in lefts:
-            if pair[u] < 0 and dfs(u):
-                size += 1
+        edge_indices = _mask_edges(graph, mask)
+    adj = _Adjacency(graph, side, edge_indices)
+    pair, pedge = _start_pairs(graph.n, init_pair, init_pair_edge)
+    size = _hopcroft_karp(adj, pair, pedge)
     return pair, pedge, size
 
 
@@ -221,60 +312,28 @@ def konig_cover_from_pairs(
     (unreached lefts) union (reached rights).  With a maximum matching the
     cover size equals the matching size; `strict` asserts that.
     """
-    n = graph.n
-    if mask is None:
-        edge_indices: Sequence[int] = range(graph.m)
-    else:
-        edge_indices = np.nonzero(np.asarray(mask, dtype=bool))[0].tolist()
-    adj = _left_adjacency(graph, side, edge_indices)
-    left_has_edge = np.zeros(n, dtype=bool)
-    right_has_edge = np.zeros(n, dtype=bool)
-    for u in range(n):
-        if adj[u]:
-            left_has_edge[u] = True
-            for (v, _e) in adj[u]:
-                right_has_edge[v] = True
-
-    seen_l = np.zeros(n, dtype=bool)
-    seen_r = np.zeros(n, dtype=bool)
-    queue: deque[int] = deque()
-    for u in range(n):
-        if left_has_edge[u] and pair[u] < 0:
-            seen_l[u] = True
-            queue.append(u)
-    while queue:
-        u = queue.popleft()
-        for (v, _e) in adj[u]:
-            if not seen_r[v]:
-                seen_r[v] = True
-                w = pair[v]
-                if w >= 0 and not seen_l[w]:
-                    seen_l[w] = True
-                    queue.append(w)
-
-    cover = (left_has_edge & ~seen_l) | (right_has_edge & seen_r)
-    if strict:
-        msize = sum(1 for u in range(n) if left_has_edge[u] and pair[u] >= 0)
-        csize = int(np.count_nonzero(cover))
-        if csize != msize:
-            raise StructuralError(
-                f"cover/matching size mismatch ({csize} vs {msize}); "
-                "input matching was not maximum"
-            )
-    return cover
+    if isinstance(pair, np.ndarray):
+        pair = pair.tolist()
+    adj = _Adjacency(graph, side, _mask_edges(graph, mask))
+    return _konig(adj, pair, graph.n, strict)
 
 
 def mvc_bipartite_on_mask(
     graph: Graph,
     side: np.ndarray,
     mask: Optional[np.ndarray],
-    init_pair: Optional[np.ndarray] = None,
-    init_pair_edge: Optional[np.ndarray] = None,
+    init_pair: Optional[Sequence[int]] = None,
+    init_pair_edge: Optional[Sequence[int]] = None,
 ) -> tuple[np.ndarray, int]:
-    """Exact minimum vertex cover of a masked bipartite graph."""
-    pair, _pedge, size = hk_on_mask(graph, side, mask, init_pair, init_pair_edge)
-    cover = konig_cover_from_pairs(graph, side, mask, pair, strict=True)
-    return cover, size
+    """Exact minimum vertex cover of a masked bipartite graph.
+
+    Hopcroft-Karp, optionally warm-started, then Konig's construction, both
+    on one adjacency build.
+    """
+    adj = _Adjacency(graph, side, _mask_edges(graph, mask))
+    pair, pedge = _start_pairs(graph.n, init_pair, init_pair_edge)
+    size = _hopcroft_karp(adj, pair, pedge)
+    return _konig(adj, pair, graph.n, strict=True), size
 
 
 def max_matching_bipartite(graph: Graph, sides: Bipartition) -> Matching:
@@ -457,20 +516,29 @@ def exact_mvc_general(graph: Graph, budget_vertices: int = 40) -> VertexCover:
 # --- greedy matching and short augmentations ----------------------------------
 
 
+def greedy_matching_edges(graph: Graph, order: Iterable[int]) -> list[int]:
+    """Edges taken greedily in the given order, each when both ends are free.
+
+    The one greedy-matching loop of the package: `order` may be any sequence
+    of distinct edge indices, e.g. the edges of a mask.
+    """
+    used = [False] * graph.n
+    edges = graph.edges
+    picked: list[int] = []
+    for e in order:
+        u, v = edges[e]
+        if not used[u] and not used[v]:
+            used[u] = used[v] = True
+            picked.append(e)
+    return picked
+
+
 def greedy_maximal_matching(graph: Graph, order: Sequence[int]) -> Matching:
     """Maximal matching taking edges greedily in the given index order."""
     order = [int(e) for e in order]
     if sorted(order) != list(range(graph.m)):
         raise StructuralError("order must be a permutation of the edge indices")
-    used = np.zeros(graph.n, dtype=bool)
-    picked: list[int] = []
-    for e in order:
-        u, v = graph.edges[e]
-        if not used[u] and not used[v]:
-            used[u] = True
-            used[v] = True
-            picked.append(e)
-    return Matching(graph, tuple(picked))
+    return Matching(graph, tuple(greedy_matching_edges(graph, order)))
 
 
 def augment_with_short_paths(

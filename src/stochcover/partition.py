@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .graphs import Bipartition, EdgePartition, Graph, bipartition
-from .matching import greedy_maximal_matching, hk_on_mask
+from .matching import greedy_matching_edges, greedy_maximal_matching, hk_on_mask
 from . import rng
 
 __all__ = [
@@ -235,15 +235,7 @@ class _ComponentRunner:
             )
             lefts_edges = {e for e in pedge if e >= 0}
         else:
-            used = np.zeros(self.graph.n, dtype=bool)
-            lefts_edges = set()
-            edges = self.graph.edges
-            for e in idx.tolist():
-                u, v = edges[e]
-                if not used[u] and not used[v]:
-                    used[u] = True
-                    used[v] = True
-                    lefts_edges.add(e)
+            lefts_edges = set(greedy_matching_edges(self.graph, idx.tolist()))
         if self.exclude:
             lefts_edges -= self.exclude
         return sorted(lefts_edges)

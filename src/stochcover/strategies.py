@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ApplicabilityError, ParameterError, StructuralError
 from .filling import GeneralVcPlan, general_vc_cover, general_vc_plan
 from .graphs import Graph, bipartition
-from .matching import hk_on_mask, konig_cover_from_pairs, mvc_general_on_mask
+from .matching import hk_on_mask, mvc_bipartite_on_mask, mvc_general_on_mask
 from .partition import PartitionConfig, PartitionOutcome, build_partition
 from . import rng
 
@@ -137,14 +137,9 @@ def _respond_half_stochastic(
     g = plan.graph
     h_mask = payload.s_mask | realized_mask
     if payload.side is not None:
-        pair, _pedge, _size = hk_on_mask(
-            g,
-            payload.side,
-            h_mask,
-            init_pair=payload.warm_pair,
-            init_pair_edge=payload.warm_pedge,
+        cover, _size = mvc_bipartite_on_mask(
+            g, payload.side, h_mask, payload.warm_pair, payload.warm_pedge
         )
-        cover = konig_cover_from_pairs(g, payload.side, h_mask, pair, strict=True)
     else:
         cover, _size = mvc_general_on_mask(g, h_mask, GENERAL_OPT_BUDGET)
     return StrategyAnswer("cover", cover=cover)
@@ -290,8 +285,7 @@ def _plan_random_query_baseline(graph: Graph, params: StrategyParams) -> QueryPl
 def _exact_cover_mask(graph: Graph, mask: Optional[np.ndarray]) -> np.ndarray:
     sides = bipartition(graph)
     if sides is not None:
-        pair, _pedge, _size = hk_on_mask(graph, sides.side, mask)
-        return konig_cover_from_pairs(graph, sides.side, mask, pair, strict=True)
+        return mvc_bipartite_on_mask(graph, sides.side, mask)[0]
     cover, _size = mvc_general_on_mask(graph, mask, GENERAL_OPT_BUDGET)
     return cover
 

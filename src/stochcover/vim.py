@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, StructuralError
 from .graphs import Graph, Realization, bipartition
-from .matching import Matching, greedy_maximal_matching, hk_on_mask
+from .matching import Matching, greedy_matching_edges, hk_on_mask
 from . import rng
 
 __all__ = [
@@ -160,15 +160,7 @@ def run_base_matcher(
 ) -> set[int]:
     """Matched edge indices of the deterministic base procedure on a mask."""
     if alg == ALG_GREEDY:
-        idx = np.nonzero(mask)[0]
-        used = np.zeros(graph.n, dtype=bool)
-        out = set()
-        for e in idx.tolist():
-            u, v = graph.edges[e]
-            if not used[u] and not used[v]:
-                used[u] = used[v] = True
-                out.add(e)
-        return out
+        return set(greedy_matching_edges(graph, np.nonzero(mask)[0].tolist()))
     if side is None:
         sides = bipartition(graph)
         if sides is None:

@@ -5,14 +5,26 @@ enumerating edge subsets, covers by enumerating vertex subsets, expected
 values by enumerating realizations.  These are the independent yardsticks
 the production code is measured against, so they deliberately share no
 logic with the package.
+
+`reference_hk` and `reference_konig_cover` are the exception: they are the
+package's earlier recursive Hopcroft-Karp and Konig kernels, kept verbatim
+as the yardstick for tie-breaking.  The production kernel must return the
+identical matching (which maximum matching comes back, not only its size),
+because partition marginals and `mc_matching`'s query set depend on it.
 """
 from __future__ import annotations
 
+import sys
+from collections import deque
 from itertools import combinations
+from typing import Optional, Sequence
 
 import numpy as np
 
+from stochcover.errors import StructuralError
 from stochcover.graphs import Graph
+
+_INF = 1 << 30
 
 
 def brute_max_matching(graph: Graph, mask=None) -> int:
@@ -113,3 +125,155 @@ def exact_edge_marginal(graph: Graph, p: float, run_policy, edge: int) -> float:
         if edge in run_policy(mask):
             total += weight
     return total
+
+
+# --- the earlier recursive kernel, kept verbatim ------------------------------
+
+
+def _left_adjacency(
+    graph: Graph, side: np.ndarray, edge_indices: Sequence[int]
+) -> list[list[tuple[int, int]]]:
+    """Adjacency (right vertex, edge index) for left vertices, edge order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    edges = graph.edges
+    for e in edge_indices:
+        u, v = edges[e]
+        if side[u] != 0:
+            u, v = v, u
+        adj[u].append((v, e))
+    return adj
+
+
+def reference_hk(
+    graph: Graph,
+    side: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+    init_pair: Optional[Sequence[int]] = None,
+    init_pair_edge: Optional[Sequence[int]] = None,
+    edge_indices: Optional[Sequence[int]] = None,
+) -> tuple[list[int], list[int], int]:
+    """Maximum matching of the subgraph selected by `mask`.
+
+    Returns (pair, pair_edge, size): pair[v] is the matched partner or -1,
+    pair_edge[v] the matched edge index or -1.  `init_pair`/`init_pair_edge`
+    warm-start from a matching known to live inside the mask (the caller's
+    contract); they are not modified.  `edge_indices`, when given, overrides
+    the mask and fixes the adjacency (tie-breaking) order.
+    """
+    n = graph.n
+    if edge_indices is None:
+        if mask is None:
+            edge_indices = range(graph.m)
+        else:
+            edge_indices = np.nonzero(np.asarray(mask, dtype=bool))[0].tolist()
+    adj = _left_adjacency(graph, side, edge_indices)
+    if init_pair is not None:
+        pair = list(init_pair)
+        pedge = list(init_pair_edge)  # type: ignore[arg-type]
+    else:
+        pair = [-1] * n
+        pedge = [-1] * n
+
+    lefts = [v for v in range(n) if side[v] == 0 and adj[v]]
+    dist = [_INF] * n
+
+    need = 2 * n + 64
+    if sys.getrecursionlimit() < need:
+        sys.setrecursionlimit(need)
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        for u in lefts:
+            if pair[u] < 0:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = _INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            du = dist[u] + 1
+            for (v, _e) in adj[u]:
+                w = pair[v]
+                if w < 0:
+                    found = True
+                elif dist[w] == _INF:
+                    dist[w] = du
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        du = dist[u] + 1
+        for (v, e) in adj[u]:
+            w = pair[v]
+            if w < 0 or (dist[w] == du and dfs(w)):
+                pair[u] = v
+                pair[v] = u
+                pedge[u] = e
+                pedge[v] = e
+                return True
+        dist[u] = _INF
+        return False
+
+    size = sum(1 for u in lefts if pair[u] >= 0)
+    while bfs():
+        for u in lefts:
+            if pair[u] < 0 and dfs(u):
+                size += 1
+    return pair, pedge, size
+
+
+def reference_konig_cover(
+    graph: Graph,
+    side: np.ndarray,
+    mask: Optional[np.ndarray],
+    pair: Sequence[int],
+    strict: bool = True,
+) -> np.ndarray:
+    """Vertex cover from a bipartite maximum matching, as a boolean mask.
+
+    Alternating reachability from the unmatched left vertices: the cover is
+    (unreached lefts) union (reached rights).  With a maximum matching the
+    cover size equals the matching size; `strict` asserts that.
+    """
+    n = graph.n
+    if mask is None:
+        edge_indices: Sequence[int] = range(graph.m)
+    else:
+        edge_indices = np.nonzero(np.asarray(mask, dtype=bool))[0].tolist()
+    adj = _left_adjacency(graph, side, edge_indices)
+    left_has_edge = np.zeros(n, dtype=bool)
+    right_has_edge = np.zeros(n, dtype=bool)
+    for u in range(n):
+        if adj[u]:
+            left_has_edge[u] = True
+            for (v, _e) in adj[u]:
+                right_has_edge[v] = True
+
+    seen_l = np.zeros(n, dtype=bool)
+    seen_r = np.zeros(n, dtype=bool)
+    queue: deque[int] = deque()
+    for u in range(n):
+        if left_has_edge[u] and pair[u] < 0:
+            seen_l[u] = True
+            queue.append(u)
+    while queue:
+        u = queue.popleft()
+        for (v, _e) in adj[u]:
+            if not seen_r[v]:
+                seen_r[v] = True
+                w = pair[v]
+                if w >= 0 and not seen_l[w]:
+                    seen_l[w] = True
+                    queue.append(w)
+
+    cover = (left_has_edge & ~seen_l) | (right_has_edge & seen_r)
+    if strict:
+        msize = sum(1 for u in range(n) if left_has_edge[u] and pair[u] >= 0)
+        csize = int(np.count_nonzero(cover))
+        if csize != msize:
+            raise StructuralError(
+                f"cover/matching size mismatch ({csize} vs {msize}); "
+                "input matching was not maximum"
+            )
+    return cover

@@ -58,6 +58,29 @@ def test_bipartition_even_cycle_and_odd_cycle():
     assert bipartition(odd) is None
 
 
+def test_bipartition_is_cached_and_read_only():
+    even = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    sides = bipartition(even)
+    assert bipartition(even) is sides
+    with pytest.raises(ValueError):
+        sides.side[0] = 1
+    odd = Graph(3, ((0, 1), (1, 2), (2, 0)))
+    assert bipartition(odd) is None
+    assert bipartition(odd) is None
+
+
+def test_oriented_endpoints_follow_the_side_contents():
+    g = Graph(4, ((0, 1), (2, 1), (2, 3)))
+    side = bipartition(g).side
+    assert g.oriented_endpoints(side) == ([0, 2, 2], [1, 1, 3], True)
+    flipped = 1 - side
+    assert g.oriented_endpoints(flipped) == ([1, 1, 3], [0, 2, 2], True)
+    flipped[:] = side  # same array object, new contents
+    assert g.oriented_endpoints(flipped) == ([0, 2, 2], [1, 1, 3], True)
+    # edge (2, 3) has no side-0 endpoint here
+    assert g.oriented_endpoints(np.array([0, 1, 1, 1])) == ([0, 1, 3], [1, 2, 2], False)
+
+
 @given(small_graphs())
 def test_bipartition_separates_every_edge(g):
     sides = bipartition(g)

@@ -1,8 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_max_matching, brute_min_vertex_cover, is_valid_cover
+from oracles import (
+    brute_max_matching,
+    brute_min_vertex_cover,
+    is_valid_cover,
+    reference_hk,
+    reference_konig_cover,
+)
 from stochcover.errors import CapacityError, StructuralError
 from stochcover.graphs import Graph, bipartition
 from stochcover.matching import (
@@ -126,6 +134,60 @@ def test_mvc_bipartite_on_mask_empty():
     sides = _sides(g)
     cover, size = mvc_bipartite_on_mask(g, sides.side, np.zeros(2, dtype=bool))
     assert size == 0 and not cover.any()
+
+
+def test_hk_deep_augmenting_path_keeps_recursion_limit():
+    # path 0-1-...-(2k+1) warm-started with the shifted matching
+    # {(1,2), (3,4), ..., (2k-1,2k)}: the only augmenting path runs the whole
+    # path, so the search goes k+1 levels deep, past the default recursion limit
+    k = 3000
+    n = 2 * k + 2
+    g = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    pair = [-1] * n
+    pedge = [-1] * n
+    for e in range(1, n - 2, 2):
+        pair[e], pair[e + 1] = e + 1, e
+        pedge[e] = pedge[e + 1] = e
+    limit = sys.getrecursionlimit()
+    _pair, out_pedge, size = hk_on_mask(g, _sides(g).side, None, pair, pedge)
+    assert size == k + 1
+    assert sorted({e for e in out_pedge if e >= 0}) == list(range(0, n - 1, 2))
+    assert sys.getrecursionlimit() == limit
+
+
+@st.composite
+def warm_started_masks(draw):
+    """A bipartite graph, a side array, a mask, a warm start inside the mask,
+    and a permutation of the mask's edges."""
+    g = draw(bipartite_graphs(max_left=7, max_right=7, max_edges=30))
+    side = np.array(_sides(g).side)  # a writable copy, as a caller might pass
+    if draw(st.booleans()):
+        side = 1 - side  # the other orientation
+    mask = np.array(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+    warm = mask & np.array(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+    order = draw(st.permutations(np.nonzero(mask)[0].tolist()))
+    return g, side, mask, warm, order
+
+
+@given(warm_started_masks())
+@settings(max_examples=150)
+def test_kernel_returns_the_reference_matching(case):
+    # not just a maximum matching: the same one the earlier recursive kernel
+    # returns, since partition marginals and mc_matching's queries depend on it
+    g, side, mask, warm, order = case
+    assert hk_on_mask(g, side, mask) == reference_hk(g, side, mask)
+    init_pair, init_pedge, _ = reference_hk(g, side, warm)
+    warm_args = dict(init_pair=init_pair, init_pair_edge=init_pedge)
+    assert hk_on_mask(g, side, mask, **warm_args) == reference_hk(g, side, mask, **warm_args)
+    assert hk_on_mask(g, side, edge_indices=order, **warm_args) == reference_hk(
+        g, side, edge_indices=order, **warm_args
+    )
+    ref_pair, _ref_pedge, ref_size = reference_hk(g, side, mask, **warm_args)
+    ref_cover = reference_konig_cover(g, side, mask, ref_pair, strict=True)
+    cover, size = mvc_bipartite_on_mask(g, side, mask, init_pair, init_pedge)
+    assert size == ref_size
+    assert np.array_equal(cover, ref_cover)
+    assert np.array_equal(konig_cover_from_pairs(g, side, mask, ref_pair), ref_cover)
 
 
 @given(general_graphs())
