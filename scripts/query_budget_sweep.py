@@ -16,7 +16,7 @@ import argparse
 import csv
 import sys
 
-from stochcover.evaluator import CSV_COLUMNS, evaluate_strategy
+from stochcover.evaluator import CSV_COLUMNS, evaluate_strategies
 from stochcover.instances import gen_er_bipartite
 from stochcover.strategies import StrategyParams, mc_realization_count
 
@@ -40,14 +40,14 @@ def main(argv=None) -> int:
             params = StrategyParams(
                 p=p, epsilon=0.5, seed=args.seed, overrides={"R": r}
             )
-            rep = evaluate_strategy(
-                "mc_matching",
+            rep = evaluate_strategies(
+                ["mc_matching"],
                 graph,
                 params,
                 args.trials,
                 seed=args.seed + 1,
                 instance=f"erb({args.na},{args.na},{args.edge_prob})",
-            )
+            )[0]
             star = " *" if r == default_r else ""
             print(
                 f"{p:>4} {r:>4} {rep.ratio:>7.3f} {rep.ratio_ci95:>7.3f}"

@@ -16,19 +16,11 @@ from .graphs import (
     Graph,
     Realization,
     bipartition,
-    half_stochastic_union,
     read_graph_text,
     sample_realization,
     write_graph_text,
 )
-from .matching import (
-    Matching,
-    VertexCover,
-    exact_mvc_general,
-    greedy_maximal_matching,
-    konig_vertex_cover,
-    max_matching_bipartite,
-)
+from .matching import Matching
 from .filling import FillingResult, filling, general_vc_cover, general_vc_plan
 from .partition import MatchingPolicy, PartitionConfig, PartitionOutcome, build_partition
 from .strategies import (
@@ -42,7 +34,6 @@ from .strategies import (
 from .evaluator import (
     EvalReport,
     evaluate_strategies,
-    evaluate_strategy,
     exact_expected_stats,
     validity_check,
 )

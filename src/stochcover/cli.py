@@ -1,9 +1,10 @@
 """Command-line front door.
 
-Subcommands: generate (instance files), run (evaluate strategies, one row
-per strategy), compare (like run, but optima are solved once per trial and
-shared across strategies), oracle (exact expected optimum sizes for tiny
-graphs), partition (build and serialize a query partition).
+Subcommands: generate (instance files), run and compare (evaluate
+strategies, one CSV row per strategy; the two names share one code path, in
+which every strategy sees the same realizations and each trial's optimum is
+solved once), oracle (exact expected optimum sizes for tiny graphs),
+partition (build and serialize a query partition).
 
 Configuration can come from a flat key=value file via --config; explicit
 flags always win.  The only environment variable honored is SC_SEED, used
@@ -17,7 +18,7 @@ import sys
 from typing import Optional
 
 from .errors import StochCoverError
-from .evaluator import evaluate_strategies, evaluate_strategy, exact_expected_stats, write_csv
+from .evaluator import evaluate_strategies, exact_expected_stats, write_csv
 from .graphs import Graph, read_graph_text, write_graph_text
 from .instances import FAMILIES, from_family
 from .partition import PartitionConfig, build_partition, outcome_to_text
@@ -31,8 +32,6 @@ _OVERRIDE_KEYS = {
     "t": float,
     "R": int,
     "R_constant": float,
-    "inner": str,
-    "r_scale": float,
     "s": int,
     "partition_t": int,
     "partition_rounds": int,
@@ -188,7 +187,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace, shared_optima: bool) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     config = _read_config(args.config) if args.config else {}
     seed = _resolve_seed(args.seed, config)
     graph, label = _load_graph(args, config, seed)
@@ -224,20 +223,10 @@ def _cmd_run(args: argparse.Namespace, shared_optima: bool) -> int:
     overrides = _parse_overrides(override_pairs)
     params = StrategyParams(p=p, epsilon=epsilon, seed=seed, overrides=overrides)
 
-    compute_optimum = not args.no_optimum
-    if shared_optima:
-        reports = evaluate_strategies(
-            strategy_ids, graph, params, trials, seed,
-            instance=label, compute_optimum=compute_optimum, threads=threads,
-        )
-    else:
-        reports = [
-            evaluate_strategy(
-                sid, graph, params, trials, seed,
-                instance=label, compute_optimum=compute_optimum, threads=threads,
-            )
-            for sid in strategy_ids
-        ]
+    reports = evaluate_strategies(
+        strategy_ids, graph, params, trials, seed,
+        instance=label, compute_optimum=not args.no_optimum, threads=threads,
+    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_csv(reports, fh)
@@ -284,10 +273,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "generate":
             return _cmd_generate(args)
-        if args.command == "run":
-            return _cmd_run(args, shared_optima=False)
-        if args.command == "compare":
-            return _cmd_run(args, shared_optima=True)
+        if args.command in ("run", "compare"):
+            return _cmd_run(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
         if args.command == "partition":

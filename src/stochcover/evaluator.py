@@ -40,7 +40,6 @@ __all__ = [
     "CSV_COLUMNS",
     "EvalReport",
     "validity_check",
-    "evaluate_strategy",
     "evaluate_strategies",
     "exact_expected_stats",
     "write_csv",
@@ -266,30 +265,6 @@ def evaluate_strategies(
             )
         )
     return reports
-
-
-def evaluate_strategy(
-    strategy_id: str,
-    graph: Graph,
-    params: StrategyParams,
-    trials: int,
-    seed: int,
-    instance: str = "instance",
-    compute_optimum: bool = True,
-    opt_budget: int = GENERAL_OPT_BUDGET,
-    threads: int = 1,
-) -> EvalReport:
-    return evaluate_strategies(
-        [strategy_id],
-        graph,
-        params,
-        trials,
-        seed,
-        instance=instance,
-        compute_optimum=compute_optimum,
-        opt_budget=opt_budget,
-        threads=threads,
-    )[0]
 
 
 def exact_expected_stats(graph: Graph, p: float) -> dict[str, float]:

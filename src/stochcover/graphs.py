@@ -10,7 +10,7 @@ sampling all of them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Optional
 
@@ -26,7 +26,6 @@ __all__ = [
     "EdgePartition",
     "FractionalAssignment",
     "sample_realization",
-    "half_stochastic_union",
     "bipartition",
     "read_graph_text",
     "write_graph_text",
@@ -42,8 +41,6 @@ class Graph:
     Immutable after construction.  `bipartite_hint` is advisory metadata from
     the text format (vertices 0..hint-1 claimed to form one side); it is
     never trusted, `bipartition` computes sides from the edges.
-    `parent_edges` maps this graph's edge indices back to the edge indices of
-    the graph it was derived from, when it was derived at all.
 
     Derived data (endpoint arrays, adjacency, the bipartition, oriented
     endpoints) is computed on first use and cached on the instance.
@@ -52,7 +49,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     bipartite_hint: Optional[int] = None
-    parent_edges: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -167,9 +163,6 @@ class Realization:
     def realized_count(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def realized_indices(self) -> np.ndarray:
-        return np.nonzero(self.mask)[0]
-
 
 @dataclass(frozen=True)
 class EdgePartition:
@@ -188,16 +181,6 @@ class EdgePartition:
     @property
     def q_size(self) -> int:
         return int(np.count_nonzero(self.in_q))
-
-    @property
-    def s_size(self) -> int:
-        return self.parent.m - self.q_size
-
-    def q_indices(self) -> np.ndarray:
-        return np.nonzero(self.in_q)[0]
-
-    def s_indices(self) -> np.ndarray:
-        return np.nonzero(~self.in_q)[0]
 
 
 @dataclass(frozen=True)
@@ -222,14 +205,6 @@ class FractionalAssignment:
             np.add.at(sums, self.parent.edge_v, self.values)
         return sums
 
-    def validate(self, budgets, tol: float = 1e-9) -> None:
-        """Raise unless 0 <= values and vertex sums <= budgets + tol."""
-        if np.any(self.values < -tol):
-            raise StructuralError("negative edge value in fractional assignment")
-        b = np.broadcast_to(np.asarray(budgets, dtype=np.float64), (self.parent.n,))
-        if np.any(self.vertex_sums() > b + tol):
-            raise StructuralError("fractional assignment exceeds a vertex budget")
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -244,17 +219,6 @@ class Bipartition:
             raise StructuralError("bipartition side array has wrong length")
         object.__setattr__(self, "side", arr)
 
-    def side_a(self) -> np.ndarray:
-        return np.nonzero(self.side == 0)[0]
-
-    def side_b(self) -> np.ndarray:
-        return np.nonzero(self.side == 1)[0]
-
-    def check(self) -> None:
-        g = self.parent
-        if g.m and bool(np.any(self.side[g.edge_u] == self.side[g.edge_v])):
-            raise StructuralError("an edge has both endpoints on the same side")
-
 
 def sample_realization(graph: Graph, p: float, seed: int) -> Realization:
     """Keep each edge independently with probability p.
@@ -265,26 +229,6 @@ def sample_realization(graph: Graph, p: float, seed: int) -> Realization:
         raise ParameterError(f"edge probability p={p} outside [0, 1]")
     mask = rng.bernoulli_mask(seed, graph.m, p)
     return Realization(graph, mask, p)
-
-
-def half_stochastic_union(
-    graph: Graph, partition: EdgePartition, realization: Realization
-) -> Graph:
-    """The graph seen by a query strategy: realized Q-edges plus all S-edges.
-
-    Returned edge indices carry `parent_edges` mapping back to `graph`.
-    """
-    if partition.parent is not graph or realization.parent is not graph:
-        raise StructuralError("partition/realization do not refer to this graph")
-    keep = np.logical_or(~partition.in_q, realization.mask)
-    idx = np.nonzero(keep)[0]
-    edges = tuple(graph.edges[e] for e in idx)
-    return Graph(
-        graph.n,
-        edges,
-        bipartite_hint=graph.bipartite_hint,
-        parent_edges=tuple(int(e) for e in idx),
-    )
 
 
 def bipartition(graph: Graph) -> Optional[Bipartition]:

@@ -45,9 +45,6 @@ class InstanceDescriptor:
     graph: Graph
     roles: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
 
-    def params_dict(self) -> dict[str, float]:
-        return dict(self.params)
-
     def label(self) -> str:
         inner = ",".join(f"{k}={v:g}" for k, v in self.params)
         return f"{self.family}({inner})s{self.seed}"

@@ -15,22 +15,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, StructuralError
-from .graphs import Bipartition, Graph
+from .graphs import Graph
 
 __all__ = [
     "Matching",
-    "VertexCover",
-    "max_matching_bipartite",
-    "konig_vertex_cover",
-    "exact_mvc_general",
-    "greedy_maximal_matching",
-    "augment_with_short_paths",
     "hk_on_mask",
     "konig_cover_from_pairs",
     "mvc_bipartite_on_mask",
@@ -62,53 +55,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def matched_edge_of(self) -> np.ndarray:
-        """Per vertex, the incident matching edge index, or -1."""
-        out = np.full(self.parent.n, -1, dtype=np.int64)
-        for e in self.edges:
-            u, v = self.parent.edges[e]
-            out[u] = e
-            out[v] = e
-        return out
-
-    def covers_vertex(self, v: int) -> bool:
-        return bool(self.matched_edge_of[v] >= 0)
-
-
-@dataclass(frozen=True)
-class VertexCover:
-    """A vertex set meant to touch every edge of some target edge set."""
-
-    parent: Graph
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for v in self.members:
-            if not (0 <= v < self.parent.n):
-                raise StructuralError(f"cover references vertex {v} out of range")
-        object.__setattr__(self, "members", frozenset(int(v) for v in self.members))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.parent.n, dtype=bool)
-        if self.members:
-            out[list(self.members)] = True
-        return out
-
-    def uncovered(self, edge_mask: np.ndarray) -> int:
-        """Number of edges selected by edge_mask with no endpoint in the cover."""
-        g = self.parent
-        if not g.m:
-            return 0
-        sel = np.asarray(edge_mask, dtype=bool)
-        vm = self.mask
-        return int(np.count_nonzero(sel & ~(vm[g.edge_u] | vm[g.edge_v])))
 
 
 # --- bipartite maximum matching ----------------------------------------------
@@ -336,31 +282,6 @@ def mvc_bipartite_on_mask(
     return _konig(adj, pair, graph.n, strict=True), size
 
 
-def max_matching_bipartite(graph: Graph, sides: Bipartition) -> Matching:
-    """Deterministic maximum matching of a bipartite graph."""
-    sides.check()
-    _pair, pedge, _size = hk_on_mask(graph, sides.side)
-    edges = sorted({int(e) for e in pedge if e >= 0})
-    return Matching(graph, tuple(edges))
-
-
-def konig_vertex_cover(graph: Graph, sides: Bipartition, matching: Matching) -> VertexCover:
-    """Cover from a matching via alternating reachability.
-
-    With a maximum matching the result is a minimum vertex cover of the same
-    size.  With a non-maximum matching the size equality can fail; this
-    function does not police that (callers and tests do).
-    """
-    sides.check()
-    pair = np.full(graph.n, -1, dtype=np.int64)
-    for e in matching.edges:
-        u, v = graph.edges[e]
-        pair[u] = v
-        pair[v] = u
-    cover = konig_cover_from_pairs(graph, sides.side, None, pair, strict=False)
-    return VertexCover(graph, frozenset(np.nonzero(cover)[0].tolist()))
-
-
 # --- exact minimum vertex cover, general graphs -------------------------------
 
 
@@ -479,12 +400,8 @@ def mvc_general_on_mask(
     The budget counts non-isolated vertices under the mask; above it the
     branch and bound is refused rather than left to run unbounded.
     """
-    if mask is None:
-        edge_indices: Sequence[int] = range(graph.m)
-    else:
-        edge_indices = np.nonzero(np.asarray(mask, dtype=bool))[0].tolist()
     adj: dict[int, set[int]] = {}
-    for e in edge_indices:
+    for e in _mask_edges(graph, mask):
         u, v = graph.edges[e]
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
@@ -503,17 +420,7 @@ def mvc_general_on_mask(
     return out, len(cover)
 
 
-def exact_mvc_general(graph: Graph, budget_vertices: int = 40) -> VertexCover:
-    """Exact minimum vertex cover, any graph, small inputs only."""
-    if graph.n > budget_vertices:
-        raise CapacityError(
-            f"exact vertex cover refused: n={graph.n} exceeds budget {budget_vertices}"
-        )
-    mask_cover, _size = mvc_general_on_mask(graph, None, budget_vertices)
-    return VertexCover(graph, frozenset(np.nonzero(mask_cover)[0].tolist()))
-
-
-# --- greedy matching and short augmentations ----------------------------------
+# --- greedy maximal matching --------------------------------------------------
 
 
 def greedy_matching_edges(graph: Graph, order: Iterable[int]) -> list[int]:
@@ -531,74 +438,3 @@ def greedy_matching_edges(graph: Graph, order: Iterable[int]) -> list[int]:
             used[u] = used[v] = True
             picked.append(e)
     return picked
-
-
-def greedy_maximal_matching(graph: Graph, order: Sequence[int]) -> Matching:
-    """Maximal matching taking edges greedily in the given index order."""
-    order = [int(e) for e in order]
-    if sorted(order) != list(range(graph.m)):
-        raise StructuralError("order must be a permutation of the edge indices")
-    return Matching(graph, tuple(greedy_matching_edges(graph, order)))
-
-
-def augment_with_short_paths(
-    m1: Matching, m2: Matching, realized: np.ndarray, max_len: int
-) -> Matching:
-    """Grow m1 along short alternating paths of the symmetric difference.
-
-    A component path of m1 XOR m2 is applied when it has at most `max_len`
-    edges, starts and ends with m2-edges, and every edge on it is realized
-    according to `realized` (callers mark edges not subject to realization
-    as realized).  Each applied path increases the matching size by one;
-    paths are vertex-disjoint so all applications commute.
-    """
-    if m1.parent is not m2.parent:
-        raise StructuralError("matchings belong to different graphs")
-    g = m1.parent
-    realized = np.asarray(realized, dtype=bool)
-    if realized.shape != (g.m,):
-        raise StructuralError("realized mask has wrong length")
-
-    e1 = set(m1.edges)
-    e2 = set(m2.edges)
-    diff = sorted(e1 ^ e2)
-    # vertices have degree <= 2 in the difference; walk its path components
-    dadj: dict[int, list[tuple[int, int]]] = {}
-    for e in diff:
-        u, v = g.edges[e]
-        dadj.setdefault(u, []).append((v, e))
-        dadj.setdefault(v, []).append((u, e))
-    endpoints = sorted(v for v, lst in dadj.items() if len(lst) == 1)
-
-    result = set(m1.edges)
-    visited: set[int] = set()
-    for start in endpoints:
-        if start in visited:
-            continue
-        path_edges: list[int] = []
-        visited.add(start)
-        cur = start
-        prev_edge = -1
-        while True:
-            nxt = [(w, e) for (w, e) in dadj[cur] if e != prev_edge]
-            if not nxt:
-                break
-            w, e = nxt[0]
-            path_edges.append(e)
-            visited.add(w)
-            cur, prev_edge = w, e
-        if not path_edges or len(path_edges) > max_len:
-            continue
-        if path_edges[0] not in e2 or path_edges[-1] not in e2:
-            continue
-        if not all(realized[e] for e in path_edges):
-            continue
-        for e in path_edges:
-            if e in result:
-                result.discard(e)
-            else:
-                result.add(e)
-    out = Matching(g, tuple(sorted(result)))
-    if out.size < m1.size:
-        raise StructuralError("augmentation decreased the matching size")
-    return out

@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .graphs import Bipartition, EdgePartition, Graph, bipartition
-from .matching import greedy_matching_edges, greedy_maximal_matching, hk_on_mask
+from .graphs import EdgePartition, Graph, bipartition
+from .matching import greedy_matching_edges, hk_on_mask
 from . import rng
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
 _TAG_SAMPLE = 11
 _TAG_COMPONENT = 12
 _TAG_ROUND = 13
-_TAG_PERM = 14
 
 ROUTINE_BIPARTITE = "bipartite_max"
 ROUTINE_GREEDY = "greedy_maximal"
@@ -69,26 +68,16 @@ class PolicyComponent:
     shared per-edge realization X, the component sees S-edges plus realized
     Q-edges of ITS OWN partition, which keeps old components valid after the
     builder grows Q.  `exclude` is removed from the output matching, not
-    from the input graph.  `perm_seed` permutes edge priorities for
-    tie-breaking; None means natural edge-index order.
+    from the input graph.  Ties break toward the lowest edge index.
     """
 
     in_q: tuple[bool, ...]
     routine: str = ROUTINE_BIPARTITE
-    perm_seed: Optional[int] = None
     exclude: frozenset[int] = frozenset()
     round_index: int = 0
 
     def s_mask(self) -> np.ndarray:
         return ~np.asarray(self.in_q, dtype=bool)
-
-    def priorities(self, m: int) -> Optional[np.ndarray]:
-        if self.perm_seed is None:
-            return None
-        order = rng.permutation(self.perm_seed, m)
-        prio = np.empty(m, dtype=np.int64)
-        prio[order] = np.arange(m)
-        return prio
 
 
 @dataclass(frozen=True)
@@ -133,11 +122,6 @@ class MarginalEstimate:
         n = max(self.parent.n, 2)
         return math.sqrt(2.0 * math.log(n) / self.sample_count)
 
-    @property
-    def objective_half_width(self) -> float:
-        """Worst-case propagation of per-edge error to the objective."""
-        return self.parent.m * self.half_width
-
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -148,7 +132,6 @@ class PartitionConfig:
     margin: Optional[float] = None
     seed: int = 0
     max_swaps: int = 12
-    full_pairwise: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon):
@@ -175,7 +158,6 @@ class PartitionOutcome:
     termination: str  # "case1" | "round_cap" | "degree_cap"
     rounds_used: int  # total estimation rounds, including rebuilt ones
     mu_hat: float
-    chain: tuple[EdgePartition, ...] = ()
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -205,37 +187,30 @@ class _ComponentRunner:
         self.side = side
         self.comp = comp
         self.s_mask = comp.s_mask()
-        self.prio = comp.priorities(graph.m)
         self.exclude = comp.exclude
         self.warm_pair: Optional[list[int]] = None
         self.warm_pedge: Optional[list[int]] = None
         if comp.routine == ROUTINE_BIPARTITE:
             if side is None:
                 raise StructuralError("bipartite routine on a graph with no sides")
-            idx = np.nonzero(self.s_mask)[0]
-            if self.prio is not None:
-                idx = idx[np.argsort(self.prio[idx], kind="stable")]
-            pair, pedge, _ = hk_on_mask(graph, side, edge_indices=idx.tolist())
+            pair, pedge, _ = hk_on_mask(graph, side, self.s_mask)
             self.warm_pair = pair
             self.warm_pedge = pedge
 
     def run(self, sample_mask: np.ndarray) -> list[int]:
         """Matched edge indices on this component's view of the shared draw."""
-        h_mask = self.s_mask | sample_mask
-        idx = np.nonzero(h_mask)[0]
-        if self.prio is not None:
-            idx = idx[np.argsort(self.prio[idx], kind="stable")]
+        idx = np.nonzero(self.s_mask | sample_mask)[0].tolist()
         if self.comp.routine == ROUTINE_BIPARTITE:
             _pair, pedge, _size = hk_on_mask(
                 self.graph,
                 self.side,  # type: ignore[arg-type]
-                edge_indices=idx.tolist(),
+                edge_indices=idx,
                 init_pair=self.warm_pair,
                 init_pair_edge=self.warm_pedge,
             )
             lefts_edges = {e for e in pedge if e >= 0}
         else:
-            lefts_edges = set(greedy_matching_edges(self.graph, idx.tolist()))
+            lefts_edges = set(greedy_matching_edges(self.graph, idx))
         if self.exclude:
             lefts_edges -= self.exclude
         return sorted(lefts_edges)
@@ -303,7 +278,7 @@ def _mu_hat(graph: Graph, side: Optional[np.ndarray]) -> float:
     if side is not None:
         _pair, _pedge, size = hk_on_mask(graph, side)
         return float(size)
-    return float(greedy_maximal_matching(graph, range(graph.m)).size)
+    return float(len(greedy_matching_edges(graph, range(graph.m))))
 
 
 def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
@@ -348,34 +323,28 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
             estimate_round(i)
         cur = rounds[i]
 
-        # consider replacing an earlier round's policy with something better:
+        # consider replacing the previous round's policy with something better:
         # the current policy itself, or its half-half mixture with the old one
         # (the mixture's marginals are the average, so no new sampling needed)
         if i >= 1 and swaps < cfg.max_swaps:
-            prev_idxs = range(i) if cfg.full_pairwise else [i - 1]
-            swapped = False
-            for j in prev_idxs:
-                prev = rounds[j]
-                q_mix = 0.5 * (prev["est"].q + cur["est"].q)
-                phi_mix = policy_objective(q_mix, eps)
-                candidates = [
-                    (cur["phi"], cur["policy"], cur["est"]),
-                    (
-                        phi_mix,
-                        _half_mixture(graph, prev["policy"], cur["policy"]),
-                        MarginalEstimate(graph, q_mix, cur["est"].sample_count),
-                    ),
-                ]
-                best_phi, best_policy, best_est = max(candidates, key=lambda c: c[0])
-                if best_phi > prev["phi"] + margin:
-                    rounds[j] = {"policy": best_policy, "est": best_est, "phi": best_phi}
-                    del rounds[j + 1 :]
-                    del partitions[j + 1 :]
-                    swaps += 1
-                    i = j
-                    swapped = True
-                    break
-            if swapped:
+            j = i - 1
+            prev = rounds[j]
+            q_mix = 0.5 * (prev["est"].q + cur["est"].q)
+            candidates = [
+                (cur["phi"], cur["policy"], cur["est"]),
+                (
+                    policy_objective(q_mix, eps),
+                    _half_mixture(graph, prev["policy"], cur["policy"]),
+                    MarginalEstimate(graph, q_mix, cur["est"].sample_count),
+                ),
+            ]
+            best_phi, best_policy, best_est = max(candidates, key=lambda c: c[0])
+            if best_phi > prev["phi"] + margin:
+                rounds[j] = {"policy": best_policy, "est": best_est, "phi": best_phi}
+                del rounds[j + 1 :]
+                del partitions[j + 1 :]
+                swaps += 1
+                i = j
                 continue  # re-run the swap test from the adopted slot
 
         est = cur["est"]
@@ -420,7 +389,6 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
         termination=termination,
         rounds_used=rounds_used,
         mu_hat=mu,
-        chain=tuple(partitions),
         diagnostics=diagnostics,
     )
 
@@ -494,9 +462,9 @@ def outcome_to_text(outcome: PartitionOutcome) -> str:
     buf.write(f"components {len(outcome.policy.components)}\n")
     for w, c in outcome.policy.components:
         excl = ",".join(str(e) for e in sorted(c.exclude)) if c.exclude else "-"
-        perm = str(c.perm_seed) if c.perm_seed is not None else "-"
+        # the third field is reserved: always "-", which keeps v1 artifacts unchanged
         buf.write(
-            f"component {w!r} {c.routine} {perm} {excl} {c.round_index} "
+            f"component {w!r} {c.routine} - {excl} {c.round_index} "
             + _mask_to_bits(c.in_q)
             + "\n"
         )
@@ -512,14 +480,15 @@ def outcome_from_text(text: str, graph: Graph) -> PartitionOutcome:
     for ln in lines[1:]:
         key, rest = ln.split(" ", 1)
         if key == "component":
-            w, routine, perm, excl, ridx, bits = rest.split(" ")
+            w, routine, reserved, excl, ridx, bits = rest.split(" ")
+            if reserved != "-":
+                raise StructuralError(f"reserved component field is {reserved!r}, expected '-'")
             comps.append(
                 (
                     float(w),
                     PolicyComponent(
                         in_q=tuple(c == "1" for c in bits),
                         routine=routine,
-                        perm_seed=None if perm == "-" else int(perm),
                         exclude=frozenset()
                         if excl == "-"
                         else frozenset(int(x) for x in excl.split(",")),

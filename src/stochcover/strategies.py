@@ -11,7 +11,7 @@ Catalog:
   general_vc            water-filling commit set, works on any graph
   bipartite_vc          partition builder + exact cover of realized-Q union S
   mc_matching           union of maximum matchings over seeded mock realizations
-  one_plus_eps_vc       pluggable inner matcher's queries + exact cover
+  one_plus_eps_vc       mc_matching's query set with R tripled + exact cover
   random_query_baseline s random incident edges per vertex + exact cover
   query_nothing         no queries, cover of the whole base graph
   query_everything      query all edges, exact cover of the realization
@@ -28,7 +28,7 @@ from .errors import ApplicabilityError, ParameterError, StructuralError
 from .filling import GeneralVcPlan, general_vc_cover, general_vc_plan
 from .graphs import Graph, bipartition
 from .matching import hk_on_mask, mvc_bipartite_on_mask, mvc_general_on_mask
-from .partition import PartitionConfig, PartitionOutcome, build_partition
+from .partition import PartitionConfig, build_partition
 from . import rng
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "StrategyAnswer",
     "STRATEGY_IDS",
     "strategy_kind",
-    "is_bipartite_only",
     "plan_strategy",
     "respond_strategy",
     "mc_realization_count",
@@ -114,20 +113,36 @@ def _require_bipartite(graph: Graph, strategy: str) -> np.ndarray:
     return sides.side
 
 
-def _warm_hk_on_s(graph: Graph, side: np.ndarray, s_mask: np.ndarray):
-    pair, pedge, _size = hk_on_mask(graph, side, s_mask)
-    return pair, pedge
-
-
 @dataclass(frozen=True)
 class _HalfStochasticPayload:
     """State for strategies answering with an exact cover of realized-Q union S."""
 
     side: Optional[np.ndarray]
     s_mask: np.ndarray
-    warm_pair: Optional[list] = None
-    warm_pedge: Optional[list] = None
-    extra: Any = None
+    warm_pair: Optional[list]
+    warm_pedge: Optional[list]
+    extra: Any
+
+
+def _half_stochastic_plan(
+    strategy: str,
+    graph: Graph,
+    params: StrategyParams,
+    queried: np.ndarray,
+    side: Optional[np.ndarray],
+    extra: Any = None,
+) -> QueryPlan:
+    """Plan answered by `_respond_half_stochastic`, with S = the unqueried edges.
+
+    On a bipartite graph a maximum matching of S alone is solved once here
+    and warm-starts every respond call.
+    """
+    s_mask = ~queried
+    pair = pedge = None
+    if side is not None:
+        pair, pedge, _size = hk_on_mask(graph, side, s_mask)
+    payload = _HalfStochasticPayload(side, s_mask, pair, pedge, extra)
+    return QueryPlan(strategy, graph, params, queried, payload)
 
 
 def _respond_half_stochastic(
@@ -180,10 +195,7 @@ def _plan_bipartite_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
     )
     outcome = build_partition(graph, cfg)
     queried = outcome.partition.in_q.copy()
-    s_mask = ~queried
-    pair, pedge = _warm_hk_on_s(graph, side, s_mask)
-    payload = _HalfStochasticPayload(side, s_mask, pair, pedge, extra=outcome)
-    return QueryPlan("bipartite_vc", graph, params, queried, payload)
+    return _half_stochastic_plan("bipartite_vc", graph, params, queried, side, extra=outcome)
 
 
 # --- mc_matching --------------------------------------------------------------
@@ -226,29 +238,22 @@ def _respond_mc_matching(plan: QueryPlan, realized_mask: np.ndarray) -> Strategy
 
 
 def _plan_one_plus_eps_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
+    """The mc_matching query set with R tripled, answered like bipartite_vc.
+
+    The mock realizations are drawn under a seed derived from the caller's,
+    and the caller's overrides do not reach them.
+    """
     side = _require_bipartite(graph, "one_plus_eps_vc")
     if params.epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    inner_id = str(params.over("inner", "mc_matching"))
-    if inner_id not in STRATEGY_IDS:
-        raise ParameterError(f"unknown inner matcher {inner_id!r}")
-    r_scale = float(params.over("r_scale", 3.0))
-    inner_params = StrategyParams(
+    mc_params = StrategyParams(
         p=params.p,
         epsilon=params.epsilon,
         seed=rng.derive_seed(params.seed, _TAG_MC),
-        overrides={"R_constant": 4.0 * r_scale},
+        overrides={"R_constant": 12.0},
     )
-    inner_plan = plan_strategy(inner_id, graph, inner_params)
-    queried = inner_plan.queried.copy()
-    s_mask = ~queried
-    pair, pedge = _warm_hk_on_s(graph, side, s_mask)
-    # accuracy target the inner matcher is standing in for; recorded only
-    delta = params.epsilon * params.p ** (2.0 / params.epsilon + 2.0) / 4.0
-    payload = _HalfStochasticPayload(
-        side, s_mask, pair, pedge, extra={"inner": inner_id, "delta": delta}
-    )
-    return QueryPlan("one_plus_eps_vc", graph, params, queried, payload)
+    queried = _plan_mc_matching(graph, mc_params).queried
+    return _half_stochastic_plan("one_plus_eps_vc", graph, params, queried, side)
 
 
 # --- random_query_baseline ----------------------------------------------------
@@ -270,13 +275,7 @@ def _plan_random_query_baseline(graph: Graph, params: StrategyParams) -> QueryPl
             queried[e] = True
     sides = bipartition(graph)
     side = sides.side if sides is not None else None
-    s_mask = ~queried
-    if side is not None:
-        pair, pedge = _warm_hk_on_s(graph, side, s_mask)
-    else:
-        pair = pedge = None
-    payload = _HalfStochasticPayload(side, s_mask, pair, pedge)
-    return QueryPlan("random_query_baseline", graph, params, queried, payload)
+    return _half_stochastic_plan("random_query_baseline", graph, params, queried, side)
 
 
 # --- query_nothing / query_everything ------------------------------------------
@@ -316,23 +315,13 @@ def _respond_query_everything(
 # --- registry -----------------------------------------------------------------
 
 _REGISTRY = {
-    "general_vc": (_plan_general_vc, _respond_general_vc, "cover", False),
-    "bipartite_vc": (_plan_bipartite_vc, _respond_half_stochastic, "cover", True),
-    "mc_matching": (_plan_mc_matching, _respond_mc_matching, "matching", True),
-    "one_plus_eps_vc": (_plan_one_plus_eps_vc, _respond_half_stochastic, "cover", True),
-    "random_query_baseline": (
-        _plan_random_query_baseline,
-        _respond_half_stochastic,
-        "cover",
-        False,
-    ),
-    "query_nothing": (_plan_query_nothing, _respond_query_nothing, "cover", False),
-    "query_everything": (
-        _plan_query_everything,
-        _respond_query_everything,
-        "cover",
-        False,
-    ),
+    "general_vc": (_plan_general_vc, _respond_general_vc, "cover"),
+    "bipartite_vc": (_plan_bipartite_vc, _respond_half_stochastic, "cover"),
+    "mc_matching": (_plan_mc_matching, _respond_mc_matching, "matching"),
+    "one_plus_eps_vc": (_plan_one_plus_eps_vc, _respond_half_stochastic, "cover"),
+    "random_query_baseline": (_plan_random_query_baseline, _respond_half_stochastic, "cover"),
+    "query_nothing": (_plan_query_nothing, _respond_query_nothing, "cover"),
+    "query_everything": (_plan_query_everything, _respond_query_everything, "cover"),
 }
 
 STRATEGY_IDS = tuple(_REGISTRY)
@@ -341,11 +330,6 @@ STRATEGY_IDS = tuple(_REGISTRY)
 def strategy_kind(strategy: str) -> str:
     _check_known(strategy)
     return _REGISTRY[strategy][2]
-
-
-def is_bipartite_only(strategy: str) -> bool:
-    _check_known(strategy)
-    return _REGISTRY[strategy][3]
 
 
 def _check_known(strategy: str) -> None:

@@ -34,7 +34,6 @@ from . import rng
 
 __all__ = [
     "ALG_HK",
-    "ALG_LEX",
     "ALG_GREEDY",
     "EdgeStatusProfile",
     "ProposalRow",
@@ -45,7 +44,6 @@ __all__ = [
     "conditional_match_probs",
     "ExactRowCache",
     "vim_round",
-    "downsample_matching",
     "VimTrialStats",
     "run_vim_trials",
     "independence_stats",
@@ -54,10 +52,8 @@ __all__ = [
 _TAG_COND = 21
 _TAG_TRIAL = 22
 _TAG_PROPOSE = 23
-_TAG_DOWNSAMPLE = 24
 
 ALG_HK = "hk_fixed"
-ALG_LEX = "lex_min_max"
 ALG_GREEDY = "greedy_maximal"
 
 _ROW_TOL = 1e-9
@@ -169,36 +165,7 @@ def run_base_matcher(
     if alg == ALG_HK:
         _pair, pedge, _size = hk_on_mask(graph, side, mask)
         return {e for e in pedge if e >= 0}
-    if alg == ALG_LEX:
-        return _lex_min_max(graph, side, mask)
     raise ParameterError(f"unknown base matcher {alg!r}")
-
-
-def _lex_min_max(graph: Graph, side: np.ndarray, mask: np.ndarray) -> set[int]:
-    """Lexicographically smallest maximum matching, in edge-index order.
-
-    Greedy forcing: keep edge e iff some maximum matching extends the kept
-    set plus e.  Feasibility check removes the kept endpoints and asks
-    whether the remainder still reaches the required size.  Quadratic in m
-    times a matching run; intended for small graphs.
-    """
-    _p, _pe, target = hk_on_mask(graph, side, mask)
-    kept: list[int] = []
-    blocked = np.zeros(graph.n, dtype=bool)
-    for e in np.nonzero(mask)[0].tolist():
-        u, v = graph.edges[e]
-        if blocked[u] or blocked[v]:
-            continue
-        trial_blocked = blocked.copy()
-        trial_blocked[u] = trial_blocked[v] = True
-        sub = mask & ~trial_blocked[graph.edge_u] & ~trial_blocked[graph.edge_v]
-        _p, _pe, rest = hk_on_mask(graph, side, sub)
-        if len(kept) + 1 + rest == target:
-            kept.append(e)
-            blocked = trial_blocked
-            if len(kept) == target:
-                break
-    return set(kept)
 
 
 def conditional_match_probs(
@@ -346,16 +313,6 @@ def vim_round(realization: Realization, table: ProposalTable, seed: int) -> VimO
             best_proposer[other] = (row.vertex, chosen)
     edges = tuple(e for _v, e in best_proposer.values())
     return VimOutcome(Matching(g, edges), tuple(proposals))
-
-
-def downsample_matching(m: Matching, epsilon: float, seed: int) -> Matching:
-    """Keep each matched edge independently with probability 1 - epsilon."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise ParameterError("epsilon must lie in [0, 1]")
-    keep = rng.bernoulli_mask(
-        rng.derive_seed(seed, _TAG_DOWNSAMPLE), len(m.edges), 1.0 - epsilon
-    )
-    return Matching(m.parent, tuple(e for e, k in zip(m.edges, keep) if k))
 
 
 @dataclass(frozen=True)

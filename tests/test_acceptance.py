@@ -29,7 +29,6 @@ from stochcover.errors import ApplicabilityError
 from stochcover.evaluator import (
     EvalReport,
     evaluate_strategies,
-    evaluate_strategy,
     exact_expected_stats,
 )
 from stochcover.graphs import Graph, bipartition
@@ -51,7 +50,6 @@ from stochcover.partition import (
 )
 from stochcover.strategies import (
     StrategyParams,
-    is_bipartite_only,
     mc_realization_count,
     plan_strategy,
 )
@@ -74,6 +72,8 @@ COVER_STRATEGIES = (
     "random_query_baseline",
     "query_nothing",
 )
+# The cover strategies that plan only on a bipartite graph and refuse any other.
+BIPARTITE_ONLY = ("bipartite_vc", "one_plus_eps_vc")
 
 # Shared evaluation config for criteria 1-3.  The partition overrides keep
 # the sampling phase desk-scale; validity is independent of sample counts.
@@ -109,7 +109,7 @@ def corpus() -> list[CorpusEntry]:
 
 
 def _applicable(entry: CorpusEntry) -> list[str]:
-    return [s for s in COVER_STRATEGIES if entry.bipartite or not is_bipartite_only(s)]
+    return [s for s in COVER_STRATEGIES if entry.bipartite or s not in BIPARTITE_ONLY]
 
 
 @pytest.fixture(scope="session")
@@ -172,10 +172,9 @@ def test_criterion_01_cover_validity(corpus, c1_reports):
             cells += 1
             assert rep.validity_failures == 0, (entry.label, rep.strategy)
         if not entry.bipartite:
-            for strat in COVER_STRATEGIES:
-                if is_bipartite_only(strat):
-                    with pytest.raises(ApplicabilityError):
-                        plan_strategy(strat, entry.graph, C1_PARAMS)
+            for strat in BIPARTITE_ONLY:
+                with pytest.raises(ApplicabilityError):
+                    plan_strategy(strat, entry.graph, C1_PARAMS)
     assert cells >= 12 * 3
     print(
         f"criterion 1: 0 validity failures over {cells} strategy/instance cells"
@@ -190,14 +189,14 @@ def test_criterion_02_general_ratio():
         ("erb(30,30,0.2)", gen_er_bipartite(30, 30, 0.2, seed=7).graph),
         ("er(50,0.1)", gen_er(50, 0.1, seed=0).graph),
     ):
-        rep = evaluate_strategy(
-            "general_vc",
+        rep = evaluate_strategies(
+            ["general_vc"],
             graph,
             StrategyParams(p=0.3, epsilon=0.5, seed=9),
             C1_TRIALS,
             seed=99,
             instance=label,
-        )
+        )[0]
         assert rep.validity_failures == 0
         assert rep.ratio is not None and rep.ratio <= 2.6, (label, rep.ratio)
         assert rep.max_pv_queries <= bound, (label, rep.max_pv_queries)
@@ -266,9 +265,9 @@ def test_criterion_05_bipartite_ratio(corpus):
     for entry in corpus:
         if not entry.bipartite:
             continue
-        rep = evaluate_strategy(
-            "bipartite_vc", entry.graph, params, C1_TRIALS, seed=101, instance=entry.label
-        )
+        rep = evaluate_strategies(
+            ["bipartite_vc"], entry.graph, params, C1_TRIALS, seed=101, instance=entry.label
+        )[0]
         assert rep.validity_failures == 0
         assert rep.ratio is not None
         assert rep.ratio <= 2.0, (entry.label, rep.ratio)  # hard fallback
@@ -285,9 +284,9 @@ def test_criterion_06_mc_matching_ratio(corpus):
         for entry in corpus:
             if not entry.bipartite:
                 continue
-            rep = evaluate_strategy(
-                "mc_matching", entry.graph, params, C1_TRIALS, seed=55, instance=entry.label
-            )
+            rep = evaluate_strategies(
+                ["mc_matching"], entry.graph, params, C1_TRIALS, seed=55, instance=entry.label
+            )[0]
             assert rep.ratio is not None
             assert rep.ratio >= 0.70, (entry.label, p, r, rep.ratio)
             worst = min(worst, rep.ratio)
@@ -399,14 +398,14 @@ def test_criterion_08a_baseline_separation():
 
 
 def test_criterion_08b_query_nothing_ratio():
-    rep = evaluate_strategy(
-        "query_nothing",
+    rep = evaluate_strategies(
+        ["query_nothing"],
         gen_perfect_matching(40, seed=0).graph,
         StrategyParams(p=0.5, epsilon=0.5, seed=22),
         C1_TRIALS,
         seed=909,
         instance="pm(40)",
-    )
+    )[0]
     assert rep.ratio is not None
     assert 1.9 <= rep.ratio <= 2.1, rep.ratio
     print(f"criterion 8b: query_nothing ratio {rep.ratio:.4f} in [1.9, 2.1]")

@@ -78,6 +78,21 @@ def test_compare_shares_optima(capsys):
     assert rows[0]["mean_opt"] == rows[1]["mean_opt"]
 
 
+def test_run_and_compare_give_the_same_rows(capsys):
+    args = (
+        "--family", "er_bipartite", "--na", "7", "--nb", "7", "--edge-prob", "0.5",
+        "--seed", "9", "--strategy", "query_nothing,query_everything,random_query_baseline",
+        "--p", "0.5", "--trials", "150",
+    )
+    tables = []
+    for command in ("run", "compare"):
+        code, stdout, _ = run_cli(capsys, command, *args)
+        assert code == 0
+        tables.append([{k: v for k, v in row.items() if k != "wall_ms"} for row in csv_rows(stdout)])
+    assert len(tables[0]) == 3
+    assert tables[0] == tables[1]
+
+
 def test_no_optimum_flag_blanks_columns(capsys):
     code, stdout, _ = run_cli(
         capsys, "run", "--family", "perfect_matching", "--n", "8", "--strategy",

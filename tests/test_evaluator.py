@@ -10,7 +10,6 @@ from stochcover.errors import CapacityError, ParameterError
 from stochcover.evaluator import (
     CSV_COLUMNS,
     evaluate_strategies,
-    evaluate_strategy,
     exact_expected_stats,
     validity_check,
     write_csv,
@@ -80,7 +79,7 @@ def test_exact_stats_match_full_enumeration(n, prob, p, seed):
 
 def test_query_everything_ratio_is_exactly_one():
     g = gen_er_bipartite(6, 6, 0.4, seed=3).graph
-    rep = evaluate_strategy("query_everything", g, StrategyParams(p=0.3), 200, seed=5)
+    rep = evaluate_strategies(["query_everything"], g, StrategyParams(p=0.3), 200, seed=5)[0]
     assert rep.ratio == 1.0
     assert rep.ratio_ci95 == 0.0
     assert rep.validity_failures == 0
@@ -88,7 +87,7 @@ def test_query_everything_ratio_is_exactly_one():
 
 def test_matching_strategy_ratio_at_most_one():
     g = gen_er_bipartite(6, 6, 0.4, seed=3).graph
-    rep = evaluate_strategy("mc_matching", g, StrategyParams(p=0.3, seed=2), 300, seed=5)
+    rep = evaluate_strategies(["mc_matching"], g, StrategyParams(p=0.3, seed=2), 300, seed=5)[0]
     assert rep.ratio is not None and rep.ratio <= 1.0
     assert rep.validity_failures == 0
 
@@ -96,11 +95,11 @@ def test_matching_strategy_ratio_at_most_one():
 def test_common_random_numbers_across_calls():
     g = gen_er_bipartite(5, 5, 0.45, seed=9).graph
     params = StrategyParams(p=0.4, seed=1)
-    a = evaluate_strategy("query_nothing", g, params, 150, seed=42)
-    b = evaluate_strategy("query_everything", g, params, 150, seed=42)
+    a = evaluate_strategies(["query_nothing"], g, params, 150, seed=42)[0]
+    b = evaluate_strategies(["query_everything"], g, params, 150, seed=42)[0]
     # same realizations and same exact solver, so the cover optima agree
     assert a.mean_opt == b.mean_opt
-    again = evaluate_strategy("query_nothing", g, params, 150, seed=42)
+    again = evaluate_strategies(["query_nothing"], g, params, 150, seed=42)[0]
     assert again.csv_row()[:-1] == a.csv_row()[:-1]
 
 
@@ -118,9 +117,9 @@ def test_thread_count_does_not_change_results():
 
 def test_capacity_latch_drops_optimum_columns():
     g = gen_er(12, 0.3, seed=2).graph
-    rep = evaluate_strategy(
-        "query_nothing", g, StrategyParams(p=0.5), 50, seed=7, opt_budget=2
-    )
+    rep = evaluate_strategies(
+        ["query_nothing"], g, StrategyParams(p=0.5), 50, seed=7, opt_budget=2
+    )[0]
     assert rep.mean_opt is None and rep.ratio is None and rep.ratio_ci95 is None
     assert rep.mean_answer > 0
     row = rep.csv_row()
@@ -130,18 +129,18 @@ def test_capacity_latch_drops_optimum_columns():
 
 def test_no_optimum_mode():
     g = gen_er_bipartite(4, 4, 0.5, seed=1).graph
-    rep = evaluate_strategy(
-        "query_everything", g, StrategyParams(p=0.5), 50, seed=3, compute_optimum=False
-    )
+    rep = evaluate_strategies(
+        ["query_everything"], g, StrategyParams(p=0.5), 50, seed=3, compute_optimum=False
+    )[0]
     assert rep.mean_opt is None and rep.ratio is None
 
 
 def test_evaluator_validation():
     g = gen_er_bipartite(4, 4, 0.5, seed=1).graph
     with pytest.raises(ParameterError):
-        evaluate_strategy("query_nothing", g, StrategyParams(p=0.5), 0, seed=1)
+        evaluate_strategies(["query_nothing"], g, StrategyParams(p=0.5), 0, seed=1)
     with pytest.raises(ParameterError):
-        evaluate_strategy("query_nothing", g, StrategyParams(p=0.5), 10, seed=1, threads=0)
+        evaluate_strategies(["query_nothing"], g, StrategyParams(p=0.5), 10, seed=1, threads=0)
 
 
 def test_csv_shape_and_encoding():

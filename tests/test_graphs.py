@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 
 from stochcover.errors import ParameterError, StructuralError
 from stochcover.graphs import (
-    EdgePartition,
     Graph,
-    Realization,
     bipartition,
     format_graph_text,
-    half_stochastic_union,
     parse_graph_text,
     read_graph_text,
     sample_realization,
@@ -96,25 +93,6 @@ def test_realization_bounds():
         sample_realization(g, 1.5, 0)
     r = sample_realization(g, 1.0, 0)
     assert r.realized_count == 1
-
-
-def test_half_stochastic_union_keeps_s_and_realized_q():
-    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    part = EdgePartition(g, np.array([True, False, True]))
-    real = Realization(g, np.array([False, False, True]), 0.5)
-    h = half_stochastic_union(g, part, real)
-    # edge 0 queried but unrealized: gone; edge 1 unqueried: kept; edge 2 realized
-    assert h.edges == ((1, 2), (2, 3))
-    assert h.parent_edges == (1, 2)
-
-
-def test_half_stochastic_union_rejects_foreign_realization():
-    g1 = Graph(2, ((0, 1),))
-    g2 = Graph(2, ((0, 1),))
-    part = EdgePartition(g1, np.array([True]))
-    real = Realization(g2, np.array([True]), 0.5)
-    with pytest.raises(StructuralError):
-        half_stochastic_union(g1, part, real)
 
 
 def test_text_format_round_trip_with_hint_and_comments():

@@ -15,13 +15,9 @@ from stochcover.errors import CapacityError, StructuralError
 from stochcover.graphs import Graph, bipartition
 from stochcover.matching import (
     Matching,
-    augment_with_short_paths,
-    exact_mvc_general,
-    greedy_maximal_matching,
+    greedy_matching_edges,
     hk_on_mask,
     konig_cover_from_pairs,
-    konig_vertex_cover,
-    max_matching_bipartite,
     mvc_bipartite_on_mask,
     mvc_general_on_mask,
 )
@@ -119,16 +115,6 @@ def test_hk_is_component_local():
     assert size == sum(local_sizes)
 
 
-def test_public_wrappers_on_k33():
-    edges = tuple((u, 3 + v) for u in range(3) for v in range(3))
-    g = Graph(6, edges, bipartite_hint=3)
-    sides = _sides(g)
-    m = max_matching_bipartite(g, sides)
-    assert m.size == 3
-    cover = konig_vertex_cover(g, sides, m)
-    assert cover.size == 3
-
-
 def test_mvc_bipartite_on_mask_empty():
     g = Graph(4, ((0, 1), (2, 3)))
     sides = _sides(g)
@@ -211,37 +197,11 @@ def test_petersen_cover_size():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     g = Graph(10, tuple(outer + spokes + inner))
-    cover = exact_mvc_general(g)
-    assert cover.size == 6
+    cover, _size = mvc_general_on_mask(g, None)
+    assert int(cover.sum()) == 6
 
 
 def test_greedy_maximal_is_maximal_and_ordered():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    m = greedy_maximal_matching(g, (0, 1, 2))
-    assert m.edges == (0, 2)
-    m2 = greedy_maximal_matching(g, (1, 0, 2))
-    assert m2.edges == (1,)
-    with pytest.raises(StructuralError):
-        greedy_maximal_matching(g, (0, 0, 1))
-
-
-def test_augment_with_short_paths_improves():
-    # path of 3 edges: m1 = the middle edge, m2 = the two outer edges;
-    # the symmetric difference is one augmenting path of length 3
-    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    m1 = Matching(g, (1,))
-    m2 = Matching(g, (0, 2))
-    realized = np.ones(3, dtype=bool)
-    out = augment_with_short_paths(m1, m2, realized, max_len=3)
-    assert out.size == 2
-    short = augment_with_short_paths(m1, m2, realized, max_len=1)
-    assert short.size == 1
-
-
-def test_augment_rejects_cross_graph():
-    g1 = Graph(2, ((0, 1),))
-    g2 = Graph(2, ((0, 1),))
-    with pytest.raises(StructuralError):
-        augment_with_short_paths(
-            Matching(g1, (0,)), Matching(g2, (0,)), np.ones(1, dtype=bool), 3
-        )
+    assert greedy_matching_edges(g, (0, 1, 2)) == [0, 2]
+    assert greedy_matching_edges(g, (1, 0, 2)) == [1]

@@ -47,13 +47,6 @@ def test_policy_validation():
         MatchingPolicy(g, ((1.0, PolicyComponent(in_q=(False, False), routine="nope")),))
 
 
-def test_component_priorities_permute():
-    comp = PolicyComponent(in_q=(False,) * 6, perm_seed=3)
-    prio = comp.priorities(6)
-    assert sorted(prio.tolist()) == list(range(6))
-    assert PolicyComponent(in_q=(False,) * 6).priorities(6) is None
-
-
 def test_with_exclusions_merges():
     g = Graph(3, ((0, 1), (1, 2)))
     pol = all_s_policy(g).with_exclusions(frozenset({1}))
@@ -147,8 +140,9 @@ def test_perfect_matching_all_edges_queried():
     out = build_partition(g, PartitionConfig(epsilon=0.5, p=0.5, samples_per_round=400, seed=2))
     assert out.termination == "case1"
     assert out.partition.q_size == g.m
-    # every edge had marginal 1 in round one, far above the threshold
-    assert len(out.chain) == 2
+    # every edge had marginal 1 in round one, far above the threshold, so the
+    # second round (all of Q) is the last one kept
+    assert len(out.objective_trace) == 2
 
 
 def test_case1_can_exclude_a_light_heavy_edge():
@@ -173,8 +167,8 @@ def test_objective_trace_reported_per_kept_round():
     g = gen_er_bipartite(6, 6, 0.3, seed=1).graph
     cfg = PartitionConfig(epsilon=0.3, p=0.5, samples_per_round=800, seed=4)
     out = build_partition(g, cfg)
-    assert len(out.objective_trace) == len(out.chain)
-    assert out.rounds_used >= len(out.chain)
+    assert 1 <= len(out.objective_trace) <= cfg.max_rounds
+    assert out.rounds_used >= len(out.objective_trace)
     assert all(math.isfinite(x) for x in out.objective_trace)
 
 
@@ -242,3 +236,18 @@ def test_serialization_rejects_mismatch():
         outcome_from_text(text, wrong)
     with pytest.raises(StructuralError):
         outcome_from_text("something else\n", g)
+
+
+def test_serialization_rejects_a_filled_reserved_field():
+    # the component line's third field is reserved and must read "-"
+    g = gen_er_bipartite(6, 6, 0.25, seed=3).graph
+    out = build_partition(g, PartitionConfig(epsilon=0.3, p=0.5, samples_per_round=300, seed=7))
+    text = outcome_to_text(out)
+    lines = text.splitlines(keepends=True)
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("component "))
+    fields = lines[k].split(" ")
+    assert fields[3] == "-"
+    fields[3] = "3"
+    lines[k] = " ".join(fields)
+    with pytest.raises(StructuralError):
+        outcome_from_text("".join(lines), g)

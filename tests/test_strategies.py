@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_min_vertex_cover, is_valid_cover, is_valid_matching
+from stochcover import rng
 from stochcover.errors import ApplicabilityError, ParameterError, StructuralError
 from stochcover.filling import queried_degree_bound
 from stochcover.graphs import sample_realization
 from stochcover.instances import gen_er, gen_er_bipartite, gen_regular_bipartite
 from stochcover.strategies import (
     STRATEGY_IDS,
+    _TAG_MC,
     StrategyParams,
-    is_bipartite_only,
     mc_realization_count,
     plan_strategy,
     respond_strategy,
@@ -50,8 +51,6 @@ def test_registry_shape():
     }
     assert strategy_kind("mc_matching") == "matching"
     assert strategy_kind("general_vc") == "cover"
-    assert is_bipartite_only("bipartite_vc")
-    assert not is_bipartite_only("query_nothing")
     with pytest.raises(ParameterError):
         strategy_kind("nope")
 
@@ -152,19 +151,27 @@ def test_mc_realization_count_examples():
 
 
 def test_one_plus_eps_payload_and_inner_override():
+    # one_plus_eps_vc queries exactly the mc_matching plan it is composed of:
+    # a seed derived from the caller's, R_constant 12, and none of the
+    # caller's overrides; its payload answers from S = the unqueried edges
     g = gen_er_bipartite(6, 6, 0.4, seed=8).graph
-    params = StrategyParams(p=0.5, epsilon=0.5, seed=1)
-    plan = plan_strategy("one_plus_eps_vc", g, params)
-    eps, p = 0.5, 0.5
-    assert plan.payload.extra["delta"] == pytest.approx(eps * p ** (2 / eps + 2) / 4)
-    assert plan.payload.extra["inner"] == "mc_matching"
-
-    everything = plan_strategy(
-        "one_plus_eps_vc", g, StrategyParams(p=0.5, epsilon=0.5, overrides={"inner": "query_everything"})
+    for seed, overrides in ((1, {}), (7, {}), (1, {"R": 1})):
+        plan = plan_strategy(
+            "one_plus_eps_vc", g, StrategyParams(p=0.5, epsilon=0.5, seed=seed, overrides=overrides)
+        )
+        inner_params = StrategyParams(
+            p=0.5, epsilon=0.5, seed=rng.derive_seed(seed, _TAG_MC), overrides={"R_constant": 12.0}
+        )
+        inner = plan_strategy("mc_matching", g, inner_params)
+        assert np.array_equal(plan.queried, inner.queried)
+        assert np.array_equal(plan.payload.s_mask, ~plan.queried)
+    # the R override would have changed the query set had it reached mc_matching
+    one_r = plan_strategy(
+        "mc_matching", g, StrategyParams(p=0.5, seed=inner_params.seed, overrides={"R": 1})
     )
-    assert everything.total_queries == g.m
+    assert not np.array_equal(one_r.queried, plan.queried)
     with pytest.raises(ParameterError):
-        plan_strategy("one_plus_eps_vc", g, StrategyParams(p=0.5, overrides={"inner": "zzz"}))
+        plan_strategy("one_plus_eps_vc", g, StrategyParams(p=0.5, epsilon=0.0))
 
 
 def test_random_baseline_bounded_degree():

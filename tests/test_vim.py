@@ -10,14 +10,12 @@ from stochcover.matching import Matching, hk_on_mask
 from stochcover.vim import (
     ALG_GREEDY,
     ALG_HK,
-    ALG_LEX,
     EdgeStatusProfile,
     ExactRowCache,
     ProposalRow,
     ProposalTable,
     VimOutcome,
     conditional_match_probs,
-    downsample_matching,
     independence_stats,
     profile_of,
     run_base_matcher,
@@ -75,15 +73,8 @@ def test_base_matchers_agree_on_size():
         mask = np.array([(bits >> e) & 1 == 1 for e in range(g.m)])
         _p, _pe, target = hk_on_mask(g, side, mask)
         assert len(run_base_matcher(ALG_HK, g, mask, side)) == target
-        assert len(run_base_matcher(ALG_LEX, g, mask, side)) == target
         greedy = run_base_matcher(ALG_GREEDY, g, mask)
         assert len(greedy) <= target
-
-
-def test_lex_matcher_prefers_low_edge_indices():
-    # path 0-1-2: both edges realized, max matching 1, lex picks edge 0
-    g = Graph(3, ((0, 1), (1, 2)))
-    assert run_base_matcher(ALG_LEX, g, full_mask(g)) == {0}
 
 
 def test_greedy_matcher_takes_first_available():
@@ -114,12 +105,12 @@ def test_conditional_probs_certain_edge_is_one():
 
 def test_conditional_probs_path_end_vertex():
     # end vertex of a path proposes its only edge whenever it is realized,
-    # because the lex rule keeps the lowest-index edge of a maximum matching
+    # because Hopcroft-Karp matches vertex 0 first, along its lowest-index edge
     g = Graph(3, ((0, 1), (1, 2)))
     prof = EdgeStatusProfile(0, (0,), (True,))
-    row = conditional_match_probs(ALG_LEX, g, 0.5, 0, prof, 500, seed=3)
+    row = conditional_match_probs(ALG_HK, g, 0.5, 0, prof, 500, seed=3)
     assert row.probs == (1.0,)
-    exact = ExactRowCache(ALG_LEX, g, 0.5).row(prof)
+    exact = ExactRowCache(ALG_HK, g, 0.5).row(prof)
     assert exact.probs == (1.0,)
 
 
@@ -199,17 +190,6 @@ def test_vim_round_sampling_frequencies():
     assert abs(counts[0] / trials - 0.3) <= tol
     assert abs(counts[1] / trials - 0.4) <= tol
     assert abs(counts[None] / trials - 0.3) <= tol
-
-
-def test_downsample_extremes_and_rate():
-    g = gen_perfect_matching(2000, seed=0).graph
-    m = Matching(g, tuple(range(g.m)))
-    assert downsample_matching(m, 0.0, seed=1).size == g.m
-    assert downsample_matching(m, 1.0, seed=1).size == 0
-    kept = downsample_matching(m, 0.2, seed=5).size
-    assert 740 <= kept <= 860
-    with pytest.raises(ParameterError):
-        downsample_matching(m, 1.5, seed=1)
 
 
 def test_trial_stats_basic_dominance():
