@@ -17,7 +17,6 @@ from .graphs import (
     Realization,
     bipartition,
     read_graph_text,
-    sample_realization,
     write_graph_text,
 )
 from .matching import Matching

@@ -8,7 +8,10 @@ partition (build and serialize a query partition).
 
 Configuration can come from a flat key=value file via --config; explicit
 flags always win.  The only environment variable honored is SC_SEED, used
-when neither flag nor config supplies a seed.
+when neither flag nor config supplies a seed.  Strategy overrides
+(--override KEY=VALUE, or override.KEY=VALUE in a config file) take the
+keys of `strategies.OVERRIDE_KEYS` and are cast to the types listed there;
+an unknown key is an error.
 """
 from __future__ import annotations
 
@@ -22,22 +25,11 @@ from .evaluator import evaluate_strategies, exact_expected_stats, write_csv
 from .graphs import Graph, read_graph_text, write_graph_text
 from .instances import FAMILIES, from_family
 from .partition import PartitionConfig, build_partition, outcome_to_text
-from .strategies import STRATEGY_IDS, StrategyParams
+from .strategies import OVERRIDE_KEYS, STRATEGY_IDS, StrategyParams
 
 __all__ = ["main"]
 
 _FAMILY_FLAGS = ("d", "s", "cap_n", "n", "na", "nb", "edge_prob")
-_OVERRIDE_KEYS = {
-    "t_constant": float,
-    "t": float,
-    "R": int,
-    "R_constant": float,
-    "s": int,
-    "partition_t": int,
-    "partition_rounds": int,
-    "partition_margin": float,
-    "partition_swaps": int,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,9 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--epsilon", type=float, required=True)
     part.add_argument("--p", type=float, required=True)
     part.add_argument("--samples", type=int, default=None)
-    part.add_argument("--rounds", type=int, default=None)
-    part.add_argument("--margin", type=float, default=None)
-    part.add_argument("--swaps", type=int, default=None)
+    part.add_argument("--rounds", type=int, default=50)
     add_seed(part)
     part.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -136,17 +126,14 @@ def _resolve_seed(flag_value: Optional[int], config: dict[str, str]) -> int:
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
+    """Cast each KEY=VALUE; StrategyParams rejects an unknown key."""
     out: dict = {}
     for pair in pairs:
         if "=" not in pair:
             raise StochCoverError(f"override {pair!r} is not KEY=VALUE")
         key, value = pair.split("=", 1)
         key = key.strip()
-        if key not in _OVERRIDE_KEYS:
-            raise StochCoverError(
-                f"unknown override {key!r}; known: {', '.join(sorted(_OVERRIDE_KEYS))}"
-            )
-        out[key] = _OVERRIDE_KEYS[key](value.strip())
+        out[key] = OVERRIDE_KEYS.get(key, str)(value.strip())
     return out
 
 
@@ -248,11 +235,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     cfg = PartitionConfig(
         epsilon=args.epsilon,
         p=args.p,
-        max_rounds=args.rounds if args.rounds is not None else 50,
+        max_rounds=args.rounds,
         samples_per_round=args.samples,
-        margin=args.margin,
         seed=seed,
-        max_swaps=args.swaps if args.swaps is not None else 12,
     )
     outcome = build_partition(graph, cfg)
     text = outcome_to_text(outcome)

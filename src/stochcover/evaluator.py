@@ -153,9 +153,8 @@ def _ratio_ci95(answers: np.ndarray, opts: np.ndarray) -> Optional[float]:
 class _OptimumSolver:
     """Per-realization exact nu / mu with a one-way infeasibility latch."""
 
-    def __init__(self, graph: Graph, budget: int):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.budget = budget
         sides = bipartition(graph)
         self.side = sides.side if sides is not None else None
         self.infeasible_nu = False
@@ -166,7 +165,8 @@ class _OptimumSolver:
 
         On a bipartite graph one Hopcroft-Karp run gives both, since
         nu = mu there (Konig's theorem).  Otherwise mu is out of reach, and
-        nu comes from branch and bound until it first exceeds the budget.
+        nu comes from branch and bound until it first exceeds
+        GENERAL_OPT_BUDGET active vertices.
         """
         if self.side is not None:
             _pair, _pedge, size = hk_on_mask(self.graph, self.side, mask)
@@ -174,7 +174,7 @@ class _OptimumSolver:
         if not need_nu or self.infeasible_nu:
             return 0, 0
         try:
-            return mvc_general_on_mask(self.graph, mask, self.budget)[1], 0
+            return mvc_general_on_mask(self.graph, mask, GENERAL_OPT_BUDGET)[1], 0
         except CapacityError:
             self.infeasible_nu = True
             return 0, 0
@@ -188,7 +188,6 @@ def evaluate_strategies(
     seed: int,
     instance: str = "instance",
     compute_optimum: bool = True,
-    opt_budget: int = GENERAL_OPT_BUDGET,
     threads: int = 1,
 ) -> list[EvalReport]:
     """Evaluate several strategies on shared per-trial realizations.
@@ -207,7 +206,7 @@ def evaluate_strategies(
     kinds = [strategy_kind(sid) for sid in strategy_ids]
     need_nu = compute_optimum and any(k == "cover" for k in kinds)
     need_mu = compute_optimum and any(k == "matching" for k in kinds)
-    solver = _OptimumSolver(graph, opt_budget)
+    solver = _OptimumSolver(graph)
 
     k_strats = len(plans)
     answer_sizes = np.zeros((k_strats, trials), dtype=np.float64)

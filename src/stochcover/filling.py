@@ -17,7 +17,6 @@ everything that was realized.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -156,12 +155,11 @@ def general_vc_plan(
     graph: Graph,
     epsilon: float,
     p: float,
-    t_constant: float = 1.0 / 64.0,
     t: Optional[float] = None,
 ) -> GeneralVcPlan:
     """Build the non-adaptive query set for the general-graph cover strategy.
 
-    The truncation time defaults to t_constant * epsilon^3 * p; pass `t` to
+    The truncation time defaults to epsilon^3 * p / 64; pass `t` to
     override it outright.  Queried edges have no endpoint that the truncated
     run already saturates, which caps the queried degree at ceil(1/t).
     """
@@ -170,7 +168,7 @@ def general_vc_plan(
     if not (0.0 < p <= 1.0):
         raise ParameterError("p must lie in (0, 1]")
     if t is None:
-        t = t_constant * (epsilon**3) * p
+        t = (epsilon**3) * p / 64.0
     if not (0.0 < t):
         raise ParameterError("truncation time must be positive")
 
@@ -204,8 +202,3 @@ def general_vc_cover(plan: GeneralVcPlan, realized_q: np.ndarray) -> np.ndarray:
     mask[q_idx[realized_q]] = True
     run = filling_on_mask(g, mask, plan.residual_budget)
     return plan.committed | run.saturated
-
-
-def queried_degree_bound(t: float) -> int:
-    """ceil(1/t): the per-vertex cap on queried edges in a plan."""
-    return int(math.ceil(1.0 / t))

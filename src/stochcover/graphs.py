@@ -16,8 +16,7 @@ from typing import IO, Iterable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
-from . import rng
+from .errors import StructuralError
 
 __all__ = [
     "Graph",
@@ -25,7 +24,6 @@ __all__ = [
     "Realization",
     "EdgePartition",
     "FractionalAssignment",
-    "sample_realization",
     "bipartition",
     "read_graph_text",
     "write_graph_text",
@@ -84,14 +82,6 @@ class Graph:
             adj[u].append((v, e))
             adj[v].append((u, e))
         return tuple(tuple(a) for a in adj)
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
     @cached_property
     def _bipartition(self) -> Optional["Bipartition"]:
@@ -159,10 +149,6 @@ class Realization:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mask", _check_parent(self.parent, self.mask, "realization"))
 
-    @property
-    def realized_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
 
 @dataclass(frozen=True)
 class EdgePartition:
@@ -218,17 +204,6 @@ class Bipartition:
         if arr.shape != (self.parent.n,):
             raise StructuralError("bipartition side array has wrong length")
         object.__setattr__(self, "side", arr)
-
-
-def sample_realization(graph: Graph, p: float, seed: int) -> Realization:
-    """Keep each edge independently with probability p.
-
-    The draw for edge e is a pure function of (seed, e).
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"edge probability p={p} outside [0, 1]")
-    mask = rng.bernoulli_mask(seed, graph.m, p)
-    return Realization(graph, mask, p)
 
 
 def bipartition(graph: Graph) -> Optional[Bipartition]:

@@ -16,7 +16,8 @@ round remains valid later (its H is a subgraph).  Components therefore carry
 their own queried-edge mask.  After each round the builder also considers
 replacing the previous round's policy with the current one, or with the
 half-half mixture of the two, whenever the estimated objective improves by
-more than a margin; an adopted replacement rebuilds the chain from there.
+more than the margin (epsilon * p)^10 * mu(G); an adopted replacement
+rebuilds the chain from there, at most MAX_SWAPS times per build.
 
 The objective being tracked is sum_e (q_e - epsilon * q_e^2): expected
 matching size minus a concentration penalty, which rewards spreading
@@ -27,7 +28,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from . import rng
 __all__ = [
     "PolicyComponent",
     "MatchingPolicy",
-    "MarginalEstimate",
     "PartitionConfig",
     "PartitionOutcome",
     "estimate_marginals",
@@ -47,7 +47,6 @@ __all__ = [
     "heavy_edges",
     "heavy_threshold",
     "build_partition",
-    "policy_matching_sizes",
     "outcome_to_text",
     "outcome_from_text",
 ]
@@ -58,6 +57,8 @@ _TAG_ROUND = 13
 
 ROUTINE_BIPARTITE = "bipartite_max"
 ROUTINE_GREEDY = "greedy_maximal"
+
+MAX_SWAPS = 12  # cap on adopted replacements per build
 
 
 @dataclass(frozen=True)
@@ -109,29 +110,12 @@ class MatchingPolicy:
 
 
 @dataclass(frozen=True)
-class MarginalEstimate:
-    """Empirical per-edge matching probabilities from t policy samples."""
-
-    parent: Graph
-    q: np.ndarray
-    sample_count: int
-
-    @property
-    def half_width(self) -> float:
-        """Uniform confidence half-width for every per-edge estimate."""
-        n = max(self.parent.n, 2)
-        return math.sqrt(2.0 * math.log(n) / self.sample_count)
-
-
-@dataclass(frozen=True)
 class PartitionConfig:
     epsilon: float
     p: float
     max_rounds: int = 50
     samples_per_round: Optional[int] = None
-    margin: Optional[float] = None
     seed: int = 0
-    max_swaps: int = 12
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon):
@@ -172,11 +156,11 @@ def policy_objective(q: np.ndarray, epsilon: float) -> float:
 
 
 def heavy_edges(
-    estimate: MarginalEstimate, partition: EdgePartition, epsilon: float, p: float
+    q: np.ndarray, partition: EdgePartition, epsilon: float, p: float
 ) -> np.ndarray:
-    """S-edges whose estimated matching probability exceeds epsilon^2 * p."""
+    """S-edges whose estimated matching probability q exceeds epsilon^2 * p."""
     tau = heavy_threshold(epsilon, p)
-    return np.nonzero((~partition.in_q) & (estimate.q > tau))[0]
+    return np.nonzero((~partition.in_q) & (q > tau))[0]
 
 
 class _ComponentRunner:
@@ -216,10 +200,30 @@ class _ComponentRunner:
         return sorted(lefts_edges)
 
 
-def _policy_runners(
-    graph: Graph, policy: MatchingPolicy, side: Optional[np.ndarray]
-) -> list[tuple[float, _ComponentRunner]]:
-    return [(w, _ComponentRunner(graph, side, c)) for w, c in policy.components]
+def _policy_draws(
+    policy: MatchingPolicy,
+    graph: Graph,
+    side: Optional[np.ndarray],
+    p: float,
+    t: int,
+    seed: int,
+) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """For each of t shared draws, the draw and the policy's matched edges.
+
+    Each draw realizes every edge independently with probability p.  One
+    component is picked per draw according to the mixture weights, and it
+    interprets the draw through its own queried mask.
+    """
+    runners = [_ComponentRunner(graph, side, c) for _w, c in policy.components]
+    cum = np.cumsum([w for w, _c in policy.components])
+    for s in range(t):
+        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_SAMPLE, s), graph.m, p)
+        if len(runners) == 1:
+            runner = runners[0]
+        else:
+            u = rng.uniform_at(rng.derive_seed(seed, _TAG_COMPONENT, s), 0)
+            runner = runners[int(np.searchsorted(cum, u, side="right"))]
+        yield mask, runner.run(mask)
 
 
 def _side_for(graph: Graph, policy: MatchingPolicy) -> Optional[np.ndarray]:
@@ -238,37 +242,23 @@ def estimate_marginals(
     p: float,
     t: int,
     seed: int,
-) -> MarginalEstimate:
-    """Sample t shared-draw realizations and count per-edge matching hits.
+) -> np.ndarray:
+    """Per-edge matching probabilities q estimated from t shared draws.
 
-    Each draw realizes every edge independently with probability p; each
-    component interprets the draw through its own queried mask, so the same
-    call serves plain policies and cross-round mixtures.  One component is
-    picked per draw according to the mixture weights.
+    Each component interprets a draw through its own queried mask, so the
+    same call serves plain policies and cross-round mixtures.
     """
     if partition.parent is not graph:
         raise StructuralError("partition does not belong to this graph")
     if t < 1:
         raise ParameterError("sample count must be positive")
     if graph.m == 0:
-        return MarginalEstimate(graph, np.zeros(0, dtype=np.float64), t)
-    side = _side_for(graph, policy)
-    runners = _policy_runners(graph, policy, side)
-    weights = np.array([w for w, _r in runners], dtype=np.float64)
-    cum = np.cumsum(weights)
+        return np.zeros(0, dtype=np.float64)
     counts = np.zeros(graph.m, dtype=np.int64)
-    single = len(runners) == 1
-    for s in range(t):
-        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_SAMPLE, s), graph.m, p)
-        if single:
-            runner = runners[0][1]
-        else:
-            u = rng.uniform_at(rng.derive_seed(seed, _TAG_COMPONENT, s), 0)
-            runner = runners[int(np.searchsorted(cum, u, side="right"))][1]
-        matched = runner.run(mask)
+    for _mask, matched in _policy_draws(policy, graph, _side_for(graph, policy), p, t, seed):
         if matched:
             counts[matched] += 1
-    return MarginalEstimate(graph, counts / float(t), t)
+    return counts / float(t)
 
 
 def _mu_hat(graph: Graph, side: Optional[np.ndarray]) -> float:
@@ -288,7 +278,7 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
     side = sides.side if sides is not None else None
     routine = ROUTINE_BIPARTITE if side is not None else ROUTINE_GREEDY
     mu = _mu_hat(graph, side)
-    margin = cfg.margin if cfg.margin is not None else ((eps * p) ** 10) * mu
+    margin = ((eps * p) ** 10) * mu
     t = cfg.resolved_samples(graph.n)
     tau = heavy_threshold(eps, p)
     per_round_cap = int(math.ceil(1.0 / tau)) if tau > 0 else graph.m
@@ -311,10 +301,10 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
     def estimate_round(idx: int) -> None:
         nonlocal rounds_used
         pol = fresh(partitions[idx], idx)
-        est = estimate_marginals(
+        q = estimate_marginals(
             pol, partitions[idx], graph, p, t, rng.derive_seed(cfg.seed, _TAG_ROUND, rounds_used)
         )
-        rounds.append({"policy": pol, "est": est, "phi": policy_objective(est.q, eps)})
+        rounds.append({"policy": pol, "q": q, "phi": policy_objective(q, eps)})
         rounds_used += 1
 
     termination = "round_cap"
@@ -326,30 +316,30 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
         # consider replacing the previous round's policy with something better:
         # the current policy itself, or its half-half mixture with the old one
         # (the mixture's marginals are the average, so no new sampling needed)
-        if i >= 1 and swaps < cfg.max_swaps:
+        if i >= 1 and swaps < MAX_SWAPS:
             j = i - 1
             prev = rounds[j]
-            q_mix = 0.5 * (prev["est"].q + cur["est"].q)
+            q_mix = 0.5 * (prev["q"] + cur["q"])
             candidates = [
-                (cur["phi"], cur["policy"], cur["est"]),
+                (cur["phi"], cur["policy"], cur["q"]),
                 (
                     policy_objective(q_mix, eps),
                     _half_mixture(graph, prev["policy"], cur["policy"]),
-                    MarginalEstimate(graph, q_mix, cur["est"].sample_count),
+                    q_mix,
                 ),
             ]
-            best_phi, best_policy, best_est = max(candidates, key=lambda c: c[0])
+            best_phi, best_policy, best_q = max(candidates, key=lambda c: c[0])
             if best_phi > prev["phi"] + margin:
-                rounds[j] = {"policy": best_policy, "est": best_est, "phi": best_phi}
+                rounds[j] = {"policy": best_policy, "q": best_q, "phi": best_phi}
                 del rounds[j + 1 :]
                 del partitions[j + 1 :]
                 swaps += 1
                 i = j
                 continue  # re-run the swap test from the adopted slot
 
-        est = cur["est"]
-        heavy = heavy_edges(est, partitions[i], eps, p)
-        heavy_mass = float(np.sum(est.q[heavy])) if len(heavy) else 0.0
+        q = cur["q"]
+        heavy = heavy_edges(q, partitions[i], eps, p)
+        heavy_mass = float(np.sum(q[heavy])) if len(heavy) else 0.0
         if len(heavy) == 0 or heavy_mass < eps * p * mu:
             final_policy = cur["policy"].with_exclusions(frozenset(int(e) for e in heavy))
             termination = "case1"
@@ -370,7 +360,7 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
 
     final_partition = partitions[i]
     trace = tuple(r["phi"] for r in rounds[: i + 1])
-    s_q = rounds[i]["est"].q.copy()
+    s_q = rounds[i]["q"].copy()
     for _w, comp in final_policy.components:
         if comp.exclude:
             s_q[sorted(comp.exclude)] = 0.0
@@ -400,42 +390,6 @@ def _half_mixture(
         (0.5 * w, c) for w, c in b.components
     )
     return MatchingPolicy(graph, comps)
-
-
-def policy_matching_sizes(
-    policy: MatchingPolicy,
-    partition: EdgePartition,
-    graph: Graph,
-    p: float,
-    t: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Mean policy matching size vs mean exact maximum on the same draws.
-
-    The exact side solves the half-stochastic graph of `partition` for each
-    shared draw; bipartite graphs only.
-    """
-    sides = bipartition(graph)
-    if sides is None:
-        raise StructuralError("exact comparison needs a bipartite graph")
-    side = sides.side
-    runners = _policy_runners(graph, policy, side)
-    weights = np.cumsum([w for w, _r in runners])
-    s_mask = ~partition.in_q
-    tot_policy = 0
-    tot_opt = 0
-    for s in range(t):
-        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_SAMPLE, s), graph.m, p)
-        if len(runners) == 1:
-            runner = runners[0][1]
-        else:
-            u = rng.uniform_at(rng.derive_seed(seed, _TAG_COMPONENT, s), 0)
-            runner = runners[int(np.searchsorted(weights, u, side="right"))][1]
-        tot_policy += len(runner.run(mask))
-        h_mask = s_mask | mask
-        _pair, _pedge, size = hk_on_mask(graph, side, h_mask)  # type: ignore[arg-type]
-        tot_opt += size
-    return tot_policy / t, tot_opt / t
 
 
 # --- serialization ------------------------------------------------------------

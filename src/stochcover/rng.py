@@ -25,7 +25,6 @@ __all__ = [
     "uniforms",
     "uniform_at",
     "bernoulli_mask",
-    "permutation",
     "sample_without_replacement",
 ]
 
@@ -89,17 +88,6 @@ def bernoulli_mask(seed: int, count: int, p: float) -> np.ndarray:
     counters re-yields the same draws.
     """
     return uniforms(seed, count) < p
-
-
-def permutation(seed: int, count: int) -> np.ndarray:
-    """Deterministic Fisher-Yates permutation of range(count)."""
-    perm = np.arange(count, dtype=np.int64)
-    for i in range(count - 1, 0, -1):
-        j = int(uniform_at(seed, i) * (i + 1))
-        if j > i:  # guard the measure-zero edge of the float map
-            j = i
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
 
 
 def sample_without_replacement(seed: int, items: list, k: int) -> list:

@@ -15,11 +15,15 @@ Catalog:
   random_query_baseline s random incident edges per vertex + exact cover
   query_nothing         no queries, cover of the whole base graph
   query_everything      query all edges, exact cover of the realization
+
+The cover strategies other than general_vc share one responder: an exact
+cover of realized-Q union S, where S is the unqueried edges.
+query_everything (S empty) and query_nothing (Q empty) are its two ends.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -48,6 +52,16 @@ _TAG_PARTITION = 33
 
 GENERAL_OPT_BUDGET = 64  # non-isolated-vertex cap for exact general covers
 
+# Every override key a strategy reads, with the type a text value casts to.
+OVERRIDE_KEYS = {
+    "t": float,  # general_vc: truncation time, in place of epsilon^3 * p / 64
+    "R": int,  # mc_matching: mock realization count
+    "R_constant": float,  # mc_matching: the constant in ceil(R_constant ln(1/p) / p)
+    "s": int,  # random_query_baseline: incident edges sampled per vertex
+    "partition_t": int,  # bipartite_vc: samples per partition round
+    "partition_rounds": int,  # bipartite_vc: partition round cap
+}
+
 
 @dataclass(frozen=True)
 class StrategyParams:
@@ -59,6 +73,11 @@ class StrategyParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.p <= 1.0):
             raise ParameterError("p must lie in (0, 1]")
+        unknown = sorted(set(self.overrides) - set(OVERRIDE_KEYS))
+        if unknown:
+            raise ParameterError(
+                f"unknown override {unknown[0]!r}; known: {', '.join(sorted(OVERRIDE_KEYS))}"
+            )
 
     def over(self, key: str, default):
         return self.overrides.get(key, default)
@@ -129,7 +148,6 @@ def _half_stochastic_plan(
     graph: Graph,
     params: StrategyParams,
     queried: np.ndarray,
-    side: Optional[np.ndarray],
     extra: Any = None,
 ) -> QueryPlan:
     """Plan answered by `_respond_half_stochastic`, with S = the unqueried edges.
@@ -137,6 +155,8 @@ def _half_stochastic_plan(
     On a bipartite graph a maximum matching of S alone is solved once here
     and warm-starts every respond call.
     """
+    sides = bipartition(graph)
+    side = sides.side if sides is not None else None
     s_mask = ~queried
     pair = pedge = None
     if side is not None:
@@ -164,13 +184,7 @@ def _respond_half_stochastic(
 
 
 def _plan_general_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
-    plan = general_vc_plan(
-        graph,
-        params.epsilon,
-        params.p,
-        t_constant=float(params.over("t_constant", 1.0 / 64.0)),
-        t=params.over("t", None),
-    )
+    plan = general_vc_plan(graph, params.epsilon, params.p, t=params.over("t", None))
     return QueryPlan("general_vc", graph, params, plan.queried, plan)
 
 
@@ -183,19 +197,17 @@ def _respond_general_vc(plan: QueryPlan, answers: np.ndarray) -> StrategyAnswer:
 
 
 def _plan_bipartite_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
-    side = _require_bipartite(graph, "bipartite_vc")
+    _require_bipartite(graph, "bipartite_vc")
     cfg = PartitionConfig(
         epsilon=params.epsilon,
         p=params.p,
         max_rounds=int(params.over("partition_rounds", 50)),
         samples_per_round=params.over("partition_t", None),
-        margin=params.over("partition_margin", None),
         seed=rng.derive_seed(params.seed, _TAG_PARTITION),
-        max_swaps=int(params.over("partition_swaps", 12)),
     )
     outcome = build_partition(graph, cfg)
     queried = outcome.partition.in_q.copy()
-    return _half_stochastic_plan("bipartite_vc", graph, params, queried, side, extra=outcome)
+    return _half_stochastic_plan("bipartite_vc", graph, params, queried, extra=outcome)
 
 
 # --- mc_matching --------------------------------------------------------------
@@ -243,7 +255,7 @@ def _plan_one_plus_eps_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
     The mock realizations are drawn under a seed derived from the caller's,
     and the caller's overrides do not reach them.
     """
-    side = _require_bipartite(graph, "one_plus_eps_vc")
+    _require_bipartite(graph, "one_plus_eps_vc")
     if params.epsilon <= 0:
         raise ParameterError("epsilon must be positive")
     mc_params = StrategyParams(
@@ -253,7 +265,7 @@ def _plan_one_plus_eps_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
         overrides={"R_constant": 12.0},
     )
     queried = _plan_mc_matching(graph, mc_params).queried
-    return _half_stochastic_plan("one_plus_eps_vc", graph, params, queried, side)
+    return _half_stochastic_plan("one_plus_eps_vc", graph, params, queried)
 
 
 # --- random_query_baseline ----------------------------------------------------
@@ -273,27 +285,17 @@ def _plan_random_query_baseline(graph: Graph, params: StrategyParams) -> QueryPl
         )
         for e in picked:
             queried[e] = True
-    sides = bipartition(graph)
-    side = sides.side if sides is not None else None
-    return _half_stochastic_plan("random_query_baseline", graph, params, queried, side)
+    return _half_stochastic_plan("random_query_baseline", graph, params, queried)
 
 
 # --- query_nothing / query_everything ------------------------------------------
 
 
-def _exact_cover_mask(graph: Graph, mask: Optional[np.ndarray]) -> np.ndarray:
-    sides = bipartition(graph)
-    if sides is not None:
-        return mvc_bipartite_on_mask(graph, sides.side, mask)[0]
-    cover, _size = mvc_general_on_mask(graph, mask, GENERAL_OPT_BUDGET)
-    return cover
-
-
 def _plan_query_nothing(graph: Graph, params: StrategyParams) -> QueryPlan:
-    cover = _exact_cover_mask(graph, None)
-    return QueryPlan(
-        "query_nothing", graph, params, np.zeros(graph.m, dtype=bool), cover
-    )
+    """The Q = empty half-stochastic plan, whose one answer is solved here."""
+    nothing = np.zeros(graph.m, dtype=bool)
+    plan = _half_stochastic_plan("query_nothing", graph, params, nothing)
+    return replace(plan, payload=_respond_half_stochastic(plan, nothing).cover)
 
 
 def _respond_query_nothing(plan: QueryPlan, realized_mask: np.ndarray) -> StrategyAnswer:
@@ -301,15 +303,8 @@ def _respond_query_nothing(plan: QueryPlan, realized_mask: np.ndarray) -> Strate
 
 
 def _plan_query_everything(graph: Graph, params: StrategyParams) -> QueryPlan:
-    return QueryPlan(
-        "query_everything", graph, params, np.ones(graph.m, dtype=bool), None
-    )
-
-
-def _respond_query_everything(
-    plan: QueryPlan, realized_mask: np.ndarray
-) -> StrategyAnswer:
-    return StrategyAnswer("cover", cover=_exact_cover_mask(plan.graph, realized_mask))
+    everything = np.ones(graph.m, dtype=bool)
+    return _half_stochastic_plan("query_everything", graph, params, everything)
 
 
 # --- registry -----------------------------------------------------------------
@@ -321,7 +316,7 @@ _REGISTRY = {
     "one_plus_eps_vc": (_plan_one_plus_eps_vc, _respond_half_stochastic, "cover"),
     "random_query_baseline": (_plan_random_query_baseline, _respond_half_stochastic, "cover"),
     "query_nothing": (_plan_query_nothing, _respond_query_nothing, "cover"),
-    "query_everything": (_plan_query_everything, _respond_query_everything, "cover"),
+    "query_everything": (_plan_query_everything, _respond_half_stochastic, "cover"),
 }
 
 STRATEGY_IDS = tuple(_REGISTRY)

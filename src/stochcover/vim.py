@@ -14,10 +14,10 @@ v's own coin and its realized edges, so for a B-vertex u not adjacent to v
 the events "v proposes" and "u gets matched" decouple, while the matching
 stays within a (1 - 1/e) factor of the base procedure's in expectation.
 
-Conditional rows come in two flavors: sampled (fresh draws for all non-v
-edges) and exact (weighted enumeration of the non-v edges in v's connected
-component; other components cannot influence v's edges because the base
-procedures all act component by component).
+Conditional rows are exact: a weighted enumeration of the non-v edges in
+v's connected component (other components cannot influence v's edges
+because the base procedures all act component by component).  A-vertices
+are side 0 of the graph's bipartition.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ __all__ = [
     "VimOutcome",
     "run_base_matcher",
     "profile_of",
-    "conditional_match_probs",
     "ExactRowCache",
     "vim_round",
     "VimTrialStats",
@@ -49,7 +48,6 @@ __all__ = [
     "independence_stats",
 ]
 
-_TAG_COND = 21
 _TAG_TRIAL = 22
 _TAG_PROPOSE = 23
 
@@ -102,14 +100,6 @@ class ProposalRow:
         if total > 1.0 + _ROW_TOL:
             raise StructuralError(f"row mass {total} exceeds 1")
 
-    @property
-    def proposal_mass(self) -> float:
-        return min(1.0, math.fsum(self.probs))
-
-    @property
-    def no_proposal_mass(self) -> float:
-        return 1.0 - self.proposal_mass
-
     @staticmethod
     def from_estimates(
         vertex: int, edge_indices: tuple[int, ...], raw: np.ndarray
@@ -131,12 +121,6 @@ class ProposalTable:
             if row.vertex in seen:
                 raise StructuralError(f"duplicate row for vertex {row.vertex}")
             seen.add(row.vertex)
-
-    def row_of(self, v: int) -> Optional[ProposalRow]:
-        for row in self.rows:
-            if row.vertex == v:
-                return row
-        return None
 
 
 @dataclass(frozen=True)
@@ -166,44 +150,6 @@ def run_base_matcher(
         _pair, pedge, _size = hk_on_mask(graph, side, mask)
         return {e for e in pedge if e >= 0}
     raise ParameterError(f"unknown base matcher {alg!r}")
-
-
-def conditional_match_probs(
-    alg: str,
-    graph: Graph,
-    p: float,
-    v: int,
-    profile: EdgeStatusProfile,
-    t: int,
-    seed: int,
-) -> ProposalRow:
-    """Sampled estimate of Pr[e in M_A | profile] for each edge e at v.
-
-    Fixes v's edges to the profile and redraws every other edge fresh each
-    sample; edge independence makes that the correct conditional law.
-    """
-    own = profile.edge_indices
-    if own != tuple(graph.incident_edges(v)):
-        raise StructuralError("profile does not match the vertex's incidence")
-    if t < 1:
-        raise ParameterError("sample count must be positive")
-    side = None
-    if alg != ALG_GREEDY:
-        sides = bipartition(graph)
-        if sides is None:
-            raise StructuralError(f"{alg} needs a bipartite graph")
-        side = sides.side
-    own_arr = np.array(own, dtype=np.int64)
-    fixed = np.array(profile.realized, dtype=bool)
-    counts = np.zeros(len(own), dtype=np.int64)
-    for s in range(t):
-        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_COND, s), graph.m, p)
-        mask[own_arr] = fixed
-        matched = run_base_matcher(alg, graph, mask, side)
-        for k, e in enumerate(own):
-            if e in matched:
-                counts[k] += 1
-    return ProposalRow.from_estimates(v, own, counts / float(t))
 
 
 class ExactRowCache:
@@ -330,13 +276,11 @@ class VimTrialStats:
     pair_joint_freq: np.ndarray  # |A| x |B|, Pr[v proposes and u in M_B]
 
 
-def _a_b_split(graph: Graph, a_side: int) -> tuple[np.ndarray, np.ndarray]:
+def _a_b_split(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     sides = bipartition(graph)
     if sides is None:
         raise StructuralError("vim needs a bipartite graph")
-    a = np.nonzero(sides.side == a_side)[0]
-    b = np.nonzero(sides.side != a_side)[0]
-    return a, b
+    return np.nonzero(sides.side == 0)[0], np.nonzero(sides.side != 0)[0]
 
 
 def run_vim_trials(
@@ -345,14 +289,12 @@ def run_vim_trials(
     p: float,
     trials: int,
     seed: int,
-    a_side: int = 0,
-    max_bits: int = 20,
 ) -> VimTrialStats:
     """Full pipeline, exact conditional rows, per-trial derived seeds."""
     if trials < 1:
         raise ParameterError("trials must be positive")
-    a_vs, b_vs = _a_b_split(graph, a_side)
-    cache = ExactRowCache(alg, graph, p, max_bits=max_bits)
+    a_vs, b_vs = _a_b_split(graph)
+    cache = ExactRowCache(alg, graph, p)
     side = cache.side
     base_hits = np.zeros(graph.n, dtype=np.int64)
     vim_hits = np.zeros(graph.n, dtype=np.int64)
@@ -411,12 +353,11 @@ def independence_stats(
     p: float,
     trials: int,
     seed: int,
-    a_side: int = 0,
     stats: Optional[VimTrialStats] = None,
 ) -> list[tuple[int, int, float]]:
     """Empirical covariance of (v proposes) and (u in M_B) per non-adjacent pair."""
     if stats is None:
-        stats = run_vim_trials(graph, alg, p, trials, seed, a_side=a_side)
+        stats = run_vim_trials(graph, alg, p, trials, seed)
     adj = {
         (min(u, v), max(u, v)) for u, v in graph.edges
     }

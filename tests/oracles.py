@@ -11,6 +11,10 @@ package's earlier recursive Hopcroft-Karp and Konig kernels, kept verbatim
 as the yardstick for tie-breaking.  The production kernel must return the
 identical matching (which maximum matching comes back, not only its size),
 because partition marginals and `mc_matching`'s query set depend on it.
+
+`policy_matching_sizes` and `conditional_match_probs` are Monte-Carlo
+yardsticks for the partition policy and for the exact proposal rows; they
+drive the package's own policies and base matchers on fresh draws.
 """
 from __future__ import annotations
 
@@ -21,10 +25,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from stochcover import rng
 from stochcover.errors import StructuralError
-from stochcover.graphs import Graph
+from stochcover.graphs import EdgePartition, Graph, bipartition
+from stochcover.matching import hk_on_mask
+from stochcover.partition import MatchingPolicy, _policy_draws
+from stochcover.vim import EdgeStatusProfile, ProposalRow, run_base_matcher
+
+_TAG_COND = 21
 
 _INF = 1 << 30
+
+
+def degrees(graph: Graph) -> list[int]:
+    """Per-vertex count of incident edges."""
+    deg = [0] * graph.n
+    for u, v in graph.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
 
 
 def brute_max_matching(graph: Graph, mask=None) -> int:
@@ -125,6 +144,59 @@ def exact_edge_marginal(graph: Graph, p: float, run_policy, edge: int) -> float:
         if edge in run_policy(mask):
             total += weight
     return total
+
+
+def policy_matching_sizes(
+    policy: MatchingPolicy,
+    partition: EdgePartition,
+    graph: Graph,
+    p: float,
+    t: int,
+    seed: int,
+) -> tuple[float, float]:
+    """Mean policy matching size vs mean exact maximum on the same draws.
+
+    The exact side solves the half-stochastic graph of `partition` for each
+    of the draws `estimate_marginals` makes; bipartite graphs only.
+    """
+    sides = bipartition(graph)
+    if sides is None:
+        raise StructuralError("exact comparison needs a bipartite graph")
+    s_mask = ~partition.in_q
+    tot_policy = 0
+    tot_opt = 0
+    for mask, matched in _policy_draws(policy, graph, sides.side, p, t, seed):
+        tot_policy += len(matched)
+        tot_opt += hk_on_mask(graph, sides.side, s_mask | mask)[2]
+    return tot_policy / t, tot_opt / t
+
+
+def conditional_match_probs(
+    alg: str,
+    graph: Graph,
+    p: float,
+    v: int,
+    profile: EdgeStatusProfile,
+    t: int,
+    seed: int,
+) -> ProposalRow:
+    """Sampled estimate of Pr[e in M_A | profile] for each edge e at v.
+
+    Fixes v's edges to the profile and redraws every other edge fresh each
+    sample; edge independence makes that the correct conditional law.
+    """
+    own = profile.edge_indices
+    own_arr = np.array(own, dtype=np.int64)
+    fixed = np.array(profile.realized, dtype=bool)
+    counts = np.zeros(len(own), dtype=np.int64)
+    for s in range(t):
+        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_COND, s), graph.m, p)
+        mask[own_arr] = fixed
+        matched = run_base_matcher(alg, graph, mask)
+        for k, e in enumerate(own):
+            if e in matched:
+                counts[k] += 1
+    return ProposalRow.from_estimates(v, own, counts / float(t))
 
 
 # --- the earlier recursive kernel, kept verbatim ------------------------------

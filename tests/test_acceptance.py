@@ -46,7 +46,6 @@ from stochcover.partition import (
     PartitionConfig,
     build_partition,
     estimate_marginals,
-    policy_matching_sizes,
 )
 from stochcover.strategies import (
     StrategyParams,
@@ -55,7 +54,12 @@ from stochcover.strategies import (
 )
 from stochcover.vim import ALG_HK, independence_stats, run_vim_trials
 
-from oracles import brute_max_matching, brute_min_vertex_cover, is_valid_cover
+from oracles import (
+    brute_max_matching,
+    brute_min_vertex_cover,
+    is_valid_cover,
+    policy_matching_sizes,
+)
 
 
 @dataclass(frozen=True)

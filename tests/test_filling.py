@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,6 @@ from stochcover.filling import (
     filling_on_mask,
     general_vc_cover,
     general_vc_plan,
-    queried_degree_bound,
     truncate_at,
 )
 from stochcover.graphs import Graph
@@ -130,7 +131,7 @@ def test_queried_degree_bounded(g, t):
     plan = general_vc_plan(g, epsilon=1.0, p=1.0, t=t)
     if g.m:
         qdeg = g.degree_of_mask(plan.queried).max()
-        assert qdeg <= queried_degree_bound(t)
+        assert qdeg <= math.ceil(1.0 / t)
 
 
 def test_parameter_validation():

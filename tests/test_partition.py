@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_max_matching
+from oracles import brute_max_matching, policy_matching_sizes
 from stochcover.errors import ParameterError, StructuralError
 from stochcover.graphs import EdgePartition, Graph
 from stochcover.instances import gen_er_bipartite, gen_perfect_matching
 from stochcover.partition import (
-    MarginalEstimate,
     MatchingPolicy,
     PartitionConfig,
     PolicyComponent,
@@ -18,7 +17,6 @@ from stochcover.partition import (
     heavy_threshold,
     outcome_from_text,
     outcome_to_text,
-    policy_matching_sizes,
     policy_objective,
 )
 
@@ -80,9 +78,9 @@ def test_pure_s_policy_is_deterministic():
     # is exactly 0 or 1 and the total equals the maximum matching size
     g = gen_er_bipartite(5, 5, 0.4, seed=2).graph
     part = EdgePartition(g, np.zeros(g.m, dtype=bool))
-    est = estimate_marginals(all_s_policy(g), part, g, 0.5, 300, seed=7)
-    assert set(np.unique(est.q)) <= {0.0, 1.0}
-    assert est.q.sum() == pytest.approx(brute_max_matching(g))
+    q = estimate_marginals(all_s_policy(g), part, g, 0.5, 300, seed=7)
+    assert set(np.unique(q)) <= {0.0, 1.0}
+    assert q.sum() == pytest.approx(brute_max_matching(g))
 
 
 def test_marginal_sum_matches_enumerated_expectation():
@@ -94,7 +92,7 @@ def test_marginal_sum_matches_enumerated_expectation():
     comp = PolicyComponent(in_q=tuple(bool(b) for b in in_q))
     pol = MatchingPolicy(g, ((1.0, comp),))
     p, t = 0.6, 4000
-    est = estimate_marginals(pol, part, g, p, t, seed=11)
+    q = estimate_marginals(pol, part, g, p, t, seed=11)
 
     expected = 0.0
     for bits in range(1 << g.m):
@@ -103,7 +101,7 @@ def test_marginal_sum_matches_enumerated_expectation():
         view = ~in_q | (mask & in_q)
         expected += (p**k) * ((1 - p) ** (g.m - k)) * brute_max_matching(g, view)
     se = 3.0 * math.sqrt(2.0 * 2.0 / t)  # matching size is at most 2 here
-    assert abs(est.q.sum() - expected) <= se
+    assert abs(q.sum() - expected) <= se
 
 
 def test_mixture_marginals_average():
@@ -112,10 +110,11 @@ def test_mixture_marginals_average():
     comp_s = PolicyComponent(in_q=(False,) * g.m)
     comp_q = PolicyComponent(in_q=(True,) * g.m)
     mix = MatchingPolicy(g, ((0.5, comp_s), (0.5, comp_q)))
-    p = 0.4
-    est = estimate_marginals(mix, part, g, p, 20000, seed=3)
+    p, t = 0.4, 20000
+    q = estimate_marginals(mix, part, g, p, t, seed=3)
     # component s matches every edge always, component q only when realized
-    assert np.allclose(est.q, 0.5 * 1.0 + 0.5 * p, atol=3 * est.half_width)
+    half_width = math.sqrt(2.0 * math.log(g.n) / t)
+    assert np.allclose(q, 0.5 * 1.0 + 0.5 * p, atol=3 * half_width)
 
 
 def test_edgeless_graph_terminates_immediately():
@@ -163,6 +162,22 @@ def test_case1_can_exclude_a_light_heavy_edge():
     assert out.diagnostics["max_s_marginal"] <= heavy_threshold(0.4, 0.4)
 
 
+def test_surviving_s_edges_stay_light_on_fresh_samples():
+    # criterion 4's surviving-S bound, on an outcome that leaves S non-empty:
+    # the star of the previous test keeps unqueried edges, and its surviving
+    # heavy edge must stay light on fresh draws because the policy drops it
+    edges = [(0, k) for k in range(1, 6)]
+    edges += [(6 + 2 * i, 7 + 2 * i) for i in range(19)]
+    g = Graph(44, tuple(edges))
+    eps, p, t = 0.4, 0.4, 2000
+    out = build_partition(g, PartitionConfig(epsilon=eps, p=p, samples_per_round=500, seed=9))
+    s_edges = np.nonzero(~out.partition.in_q)[0]
+    assert len(s_edges) > 0
+    q = estimate_marginals(out.policy, out.partition, g, p, t, seed=1234)
+    half_width = math.sqrt(2.0 * math.log(g.n) / t)
+    assert max(q[e] for e in s_edges) <= heavy_threshold(eps, p) + 3.0 * half_width
+
+
 def test_objective_trace_reported_per_kept_round():
     g = gen_er_bipartite(6, 6, 0.3, seed=1).graph
     cfg = PartitionConfig(epsilon=0.3, p=0.5, samples_per_round=800, seed=4)
@@ -191,8 +206,7 @@ def test_build_is_seed_deterministic():
 def test_heavy_edges_only_looks_at_s():
     g = gen_perfect_matching(6, seed=0).graph
     part = EdgePartition(g, np.array([True, False, False]))
-    est = MarginalEstimate(g, np.array([0.9, 0.9, 0.01]), 1000)
-    heavy = heavy_edges(est, part, 0.5, 0.5)
+    heavy = heavy_edges(np.array([0.9, 0.9, 0.01]), part, 0.5, 0.5)
     assert heavy.tolist() == [1]
 
 

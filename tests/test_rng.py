@@ -41,16 +41,6 @@ def test_bernoulli_mask_rate_is_sane():
     assert 0.28 < rate < 0.32
 
 
-@given(st.integers(min_value=0, max_value=2**63), st.integers(0, 200))
-def test_permutation_is_bijection(seed, count):
-    perm = rng.permutation(seed, count)
-    assert sorted(perm.tolist()) == list(range(count))
-
-
-def test_permutation_depends_on_seed():
-    assert rng.permutation(1, 50).tolist() != rng.permutation(2, 50).tolist()
-
-
 @given(
     st.integers(min_value=0, max_value=2**63),
     st.lists(st.integers(), min_size=0, max_size=40, unique=True),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,6 @@ from hypothesis import strategies as st
 from oracles import brute_min_vertex_cover, is_valid_cover, is_valid_matching
 from stochcover import rng
 from stochcover.errors import ApplicabilityError, ParameterError, StructuralError
-from stochcover.filling import queried_degree_bound
-from stochcover.graphs import sample_realization
 from stochcover.instances import gen_er, gen_er_bipartite, gen_regular_bipartite
 from stochcover.strategies import (
     STRATEGY_IDS,
@@ -24,7 +24,7 @@ CHEAP_OVERRIDES = {"partition_t": 100, "partition_rounds": 4, "s": 2}
 
 def run_once(strategy, graph, params, real_seed):
     plan = plan_strategy(strategy, graph, params)
-    mask = sample_realization(graph, params.p, real_seed).mask
+    mask = rng.bernoulli_mask(real_seed, graph.m, params.p)
     answer = respond_strategy(plan, mask[plan.queried_indices])
     return plan, mask, answer
 
@@ -60,6 +60,16 @@ def test_params_validation():
         StrategyParams(p=0.0)
     with pytest.raises(ParameterError):
         StrategyParams(p=1.5)
+
+
+def test_params_reject_a_misspelled_override():
+    # through the Python API as through the CLI: a key no strategy reads
+    # must not be dropped silently
+    with pytest.raises(ParameterError, match="partition_T"):
+        StrategyParams(p=0.5, overrides={"partition_T": 100})
+    with pytest.raises(ParameterError):
+        StrategyParams(p=0.5, overrides={"partition_t": 100, "t_constant": 0.5})
+    assert StrategyParams(p=0.5, overrides={"partition_t": 100}).over("partition_t", None) == 100
 
 
 def test_bipartite_only_strategies_reject_general_graphs():
@@ -125,7 +135,7 @@ def test_general_vc_degree_bound():
     g = gen_er(20, 0.3, seed=9).graph
     params = StrategyParams(p=0.3, epsilon=0.5, seed=2)
     plan = plan_strategy("general_vc", g, params)
-    assert plan.max_per_vertex_queries <= queried_degree_bound(plan.payload.t)
+    assert plan.max_per_vertex_queries <= math.ceil(1.0 / plan.payload.t)
     forced = plan_strategy("general_vc", g, StrategyParams(p=0.3, overrides={"t": 1.0}))
     assert forced.max_per_vertex_queries <= 1
 
@@ -194,7 +204,7 @@ def test_query_nothing_is_an_exact_base_cover():
 def test_query_everything_is_an_exact_realized_cover():
     g = gen_er_bipartite(5, 5, 0.5, seed=2).graph
     plan = plan_strategy("query_everything", g, StrategyParams(p=0.4))
-    mask = sample_realization(g, 0.4, 77).mask
+    mask = rng.bernoulli_mask(77, g.m, 0.4)
     answer = respond_strategy(plan, mask)
     assert answer.size == brute_min_vertex_cover(g, mask)
     assert is_valid_cover(g, answer.cover, edge_mask=mask)

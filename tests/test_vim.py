@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import conditional_match_probs
 from stochcover.errors import CapacityError, ParameterError, StructuralError
 from stochcover.graphs import Graph, Realization, bipartition
 from stochcover.instances import gen_clique, gen_er_bipartite, gen_perfect_matching
@@ -15,7 +16,6 @@ from stochcover.vim import (
     ProposalRow,
     ProposalTable,
     VimOutcome,
-    conditional_match_probs,
     independence_stats,
     profile_of,
     run_base_matcher,
@@ -43,20 +43,17 @@ def test_row_validation_and_normalization():
     with pytest.raises(StructuralError):
         ProposalRow(0, (0,), (-0.1,))
     row = ProposalRow.from_estimates(0, (0, 1), np.array([0.7, 0.8]))
-    assert row.proposal_mass == pytest.approx(1.0)
+    assert math.fsum(row.probs) == pytest.approx(1.0)
     assert row.probs[0] == pytest.approx(0.7 / 1.5)
     row = ProposalRow.from_estimates(0, (0, 1), np.array([-0.05, 0.5]))
     assert row.probs == (0.0, 0.5)
-    assert row.no_proposal_mass == pytest.approx(0.5)
 
 
 def test_table_rejects_duplicate_vertices():
     r = ProposalRow(0, (0,), (0.5,))
     with pytest.raises(StructuralError):
         ProposalTable((r, ProposalRow(0, (0,), (0.2,))))
-    table = ProposalTable((r,))
-    assert table.row_of(0) is r
-    assert table.row_of(3) is None
+    assert ProposalTable((r,)).rows == (r,)
 
 
 def test_outcome_rejects_unproposed_edges():
@@ -115,11 +112,10 @@ def test_conditional_probs_path_end_vertex():
 
 
 def test_conditional_probs_validation():
+    # a profile must list exactly the vertex's incident edges
     g = Graph(3, ((0, 1), (1, 2)))
     with pytest.raises(StructuralError):
-        conditional_match_probs(ALG_HK, g, 0.5, 0, EdgeStatusProfile(0, (1,), (True,)), 10, 1)
-    with pytest.raises(ParameterError):
-        conditional_match_probs(ALG_HK, g, 0.5, 0, EdgeStatusProfile(0, (0,), (True,)), 0, 1)
+        ExactRowCache(ALG_HK, g, 0.5).row(EdgeStatusProfile(0, (1,), (True,)))
 
 
 def test_exact_rows_match_sampled_rows():
