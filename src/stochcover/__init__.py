@@ -12,7 +12,6 @@ from .errors import (
 from .graphs import (
     Bipartition,
     EdgePartition,
-    FractionalAssignment,
     Graph,
     Realization,
     bipartition,
@@ -20,7 +19,7 @@ from .graphs import (
     write_graph_text,
 )
 from .matching import Matching
-from .filling import FillingResult, filling, general_vc_cover, general_vc_plan
+from .filling import general_vc_cover, general_vc_plan
 from .partition import MatchingPolicy, PartitionConfig, PartitionOutcome, build_partition
 from .strategies import (
     STRATEGY_IDS,

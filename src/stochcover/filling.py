@@ -7,6 +7,13 @@ is exactly min(death_time(u), death_time(v)), and the whole process is
 determined by the vertex death times, which an event-driven sweep computes
 in at most n events.
 
+`filling_on_mask` returns the pair (death, saturated): death[v] is the time
+at which v's edges stopped growing, and saturated[v] says whether that
+happened because v's budget filled up.  Vertices still alive when nothing
+grows any more get the end time of the run and saturated = False; a zero
+budget saturates at time 0.  An edge's value is min(death[u], death[v]) if
+it took part in the run, else 0.
+
 The cover construction built on top: run the process once on the full graph
 with unit budgets, cap every edge value at a small time t, commit the
 vertices that are still saturated after capping, and query only the edges
@@ -18,20 +25,16 @@ everything that was realized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .graphs import FractionalAssignment, Graph
+from .graphs import Graph
 
 __all__ = [
-    "FillingResult",
     "GeneralVcPlan",
-    "filling",
     "filling_on_mask",
-    "truncate_at",
     "general_vc_plan",
     "general_vc_cover",
 ]
@@ -40,40 +43,10 @@ SATURATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class FillingResult:
-    """Outcome of one water-filling run.
-
-    death[v] is the elapsed time at which v's edges stopped growing;
-    saturated[v] says whether that happened because v's budget filled up
-    (vertices alive at the end get death = elapsed and saturated = False;
-    a zero budget saturates at time 0).  `edge_mask` records which edges
-    took part in the run; the others have value 0.
-    """
-
-    parent: Graph
-    budgets: np.ndarray
-    death: np.ndarray
-    saturated: np.ndarray
-    elapsed: float
-    edge_mask: np.ndarray
-
-    @cached_property
-    def assignment(self) -> FractionalAssignment:
-        g = self.parent
-        values = np.zeros(g.m, dtype=np.float64)
-        if g.m:
-            values = np.minimum(self.death[g.edge_u], self.death[g.edge_v])
-            values[~self.edge_mask] = 0.0
-        return FractionalAssignment(g, values)
-
-
-@dataclass(frozen=True)
 class GeneralVcPlan:
     """Query plan for the cover strategy on general graphs."""
 
-    parent: Graph
     t: float
-    capped: FractionalAssignment
     committed: np.ndarray  # vertices whose capped incident values sum to 1
     queried: np.ndarray  # edge mask: no endpoint committed
     residual_budget: np.ndarray  # per vertex, 1 - capped sum
@@ -87,30 +60,29 @@ def _as_budgets(graph: Graph, budgets: Union[float, np.ndarray]) -> np.ndarray:
 
 
 def filling_on_mask(
-    graph: Graph, mask: Optional[np.ndarray], budgets: Union[float, np.ndarray]
-) -> FillingResult:
-    """Run the growth process on the edges selected by `mask`."""
+    graph: Graph, mask: np.ndarray, budgets: Union[float, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the growth process on the edges selected by `mask`.
+
+    Returns (death, saturated), both indexed by vertex.
+    """
     n = graph.n
-    b = _as_budgets(graph, budgets)
-    if mask is None:
-        emask = np.ones(graph.m, dtype=bool)
-    else:
-        emask = np.asarray(mask, dtype=bool)
-        if emask.shape != (graph.m,):
-            raise StructuralError("edge mask has wrong length")
+    slack = _as_budgets(graph, budgets)
+    emask = np.asarray(mask, dtype=bool)
+    if emask.shape != (graph.m,):
+        raise StructuralError("edge mask has wrong length")
 
     deg = graph.degree_of_mask(emask).astype(np.float64)
-    slack = b.copy()
     active = np.ones(n, dtype=bool)
     death = np.zeros(n, dtype=np.float64)
     saturated = np.zeros(n, dtype=bool)
     adj = graph.adjacency
 
-    def kill(vs: np.ndarray, now: float, by_saturation: bool) -> None:
+    def kill(vs: np.ndarray, now: float) -> None:
         for v in vs.tolist():
             active[v] = False
             death[v] = now
-            saturated[v] = by_saturation
+            saturated[v] = True
         # edges from a dead vertex stop growing: drop neighbor rates
         for v in vs.tolist():
             for (w, e) in adj[v]:
@@ -121,7 +93,7 @@ def filling_on_mask(
     # zero budgets saturate immediately
     zero = active & (slack <= SATURATION_TOL)
     if np.any(zero):
-        kill(np.nonzero(zero)[0], 0.0, True)
+        kill(np.nonzero(zero)[0], 0.0)
 
     while True:
         growing = active & (deg > 0.0)
@@ -132,23 +104,10 @@ def filling_on_mask(
         elapsed += dt
         slack[growing] -= rates * dt
         newly = growing & (slack <= SATURATION_TOL)
-        kill(np.nonzero(newly)[0], elapsed, True)
+        kill(np.nonzero(newly)[0], elapsed)
 
     death[active] = elapsed
-    return FillingResult(graph, b, death, saturated, elapsed, emask)
-
-
-def filling(graph: Graph, budgets: Union[float, np.ndarray] = 1.0) -> FillingResult:
-    """Run the growth process on the whole edge set."""
-    return filling_on_mask(graph, None, budgets)
-
-
-def truncate_at(result: FillingResult, t: float) -> FractionalAssignment:
-    """Cap every edge value at t."""
-    if t < 0:
-        raise ParameterError("truncation time must be nonnegative")
-    vals = np.minimum(result.assignment.values, t)
-    return FractionalAssignment(result.parent, vals)
+    return death, saturated
 
 
 def general_vc_plan(
@@ -172,33 +131,26 @@ def general_vc_plan(
     if not (0.0 < t):
         raise ParameterError("truncation time must be positive")
 
-    run = filling(graph, 1.0)
-    capped = truncate_at(run, t)
-    sums = capped.vertex_sums()
+    death, _saturated = filling_on_mask(graph, np.ones(graph.m, dtype=bool), 1.0)
+    capped = np.minimum(np.minimum(death[graph.edge_u], death[graph.edge_v]), t)
+    sums = np.zeros(graph.n, dtype=np.float64)
+    np.add.at(sums, graph.edge_u, capped)
+    np.add.at(sums, graph.edge_v, capped)
     committed = sums >= 1.0 - SATURATION_TOL
-    if graph.m:
-        queried = ~(committed[graph.edge_u] | committed[graph.edge_v])
-    else:
-        queried = np.zeros(0, dtype=bool)
+    queried = ~(committed[graph.edge_u] | committed[graph.edge_v])
     residual = np.clip(1.0 - sums, 0.0, 1.0)
-    return GeneralVcPlan(graph, float(t), capped, committed, queried, residual)
+    return GeneralVcPlan(float(t), committed, queried, residual)
 
 
-def general_vc_cover(plan: GeneralVcPlan, realized_q: np.ndarray) -> np.ndarray:
+def general_vc_cover(
+    graph: Graph, plan: GeneralVcPlan, realized_mask: np.ndarray
+) -> np.ndarray:
     """Answer a realization of the queried edges with a vertex cover mask.
 
-    `realized_q` is aligned to the plan's queried edges in edge-index order.
-    The cover is the committed vertices plus every vertex the residual run
-    saturates; it touches all unqueried edges and all realized queried ones.
+    `realized_mask` is full length: the realized queried edges are True and
+    every other edge is False.  The cover is the committed vertices plus
+    every vertex the residual run saturates; it touches all unqueried edges
+    and all realized queried ones.
     """
-    g = plan.parent
-    q_idx = np.nonzero(plan.queried)[0]
-    realized_q = np.asarray(realized_q, dtype=bool)
-    if realized_q.shape != (len(q_idx),):
-        raise StructuralError(
-            f"expected {len(q_idx)} query answers, got {realized_q.shape}"
-        )
-    mask = np.zeros(g.m, dtype=bool)
-    mask[q_idx[realized_q]] = True
-    run = filling_on_mask(g, mask, plan.residual_budget)
-    return plan.committed | run.saturated
+    _death, saturated = filling_on_mask(graph, realized_mask, plan.residual_budget)
+    return plan.committed | saturated

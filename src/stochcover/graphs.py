@@ -1,11 +1,10 @@
 """Graph core: immutable graphs, realizations, edge partitions, text I/O.
 
 Vertices are 0..n-1.  Edges are indexed 0..m-1 in construction order and all
-stochastic objects (realizations, query partitions, fractional assignments)
-are arrays over edge indices.  A "realization" keeps each edge independently
-with probability p; draws are counter-based on the edge index (see rng), so
-re-sampling any subset of edges under the same seed is consistent with
-sampling all of them.
+stochastic objects (realizations, query partitions) are arrays over edge
+indices.  A "realization" keeps each edge independently with probability p;
+draws are counter-based on the edge index (see rng), so re-sampling any
+subset of edges under the same seed is consistent with sampling all of them.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ __all__ = [
     "Bipartition",
     "Realization",
     "EdgePartition",
-    "FractionalAssignment",
     "bipartition",
     "read_graph_text",
     "write_graph_text",
@@ -167,29 +165,6 @@ class EdgePartition:
     @property
     def q_size(self) -> int:
         return int(np.count_nonzero(self.in_q))
-
-
-@dataclass(frozen=True)
-class FractionalAssignment:
-    """Nonnegative per-edge values, e.g. a fractional matching."""
-
-    parent: Graph
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != (self.parent.m,):
-            raise StructuralError(
-                f"assignment has shape {arr.shape}, expected ({self.parent.m},)"
-            )
-        object.__setattr__(self, "values", arr)
-
-    def vertex_sums(self) -> np.ndarray:
-        sums = np.zeros(self.parent.n, dtype=np.float64)
-        if self.parent.m:
-            np.add.at(sums, self.parent.edge_u, self.values)
-            np.add.at(sums, self.parent.edge_v, self.values)
-        return sums
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -91,9 +92,11 @@ class QueryPlan:
     queried: np.ndarray
     payload: Any = None
 
-    @property
+    @cached_property
     def queried_indices(self) -> np.ndarray:
-        return np.nonzero(self.queried)[0]
+        idx = np.nonzero(self.queried)[0]
+        idx.flags.writeable = False
+        return idx
 
     @property
     def total_queries(self) -> int:
@@ -188,9 +191,9 @@ def _plan_general_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
     return QueryPlan("general_vc", graph, params, plan.queried, plan)
 
 
-def _respond_general_vc(plan: QueryPlan, answers: np.ndarray) -> StrategyAnswer:
+def _respond_general_vc(plan: QueryPlan, realized_mask: np.ndarray) -> StrategyAnswer:
     inner: GeneralVcPlan = plan.payload
-    return StrategyAnswer("cover", cover=general_vc_cover(inner, answers))
+    return StrategyAnswer("cover", cover=general_vc_cover(plan.graph, inner, realized_mask))
 
 
 # --- bipartite_vc -------------------------------------------------------------
@@ -352,9 +355,6 @@ def respond_strategy(plan: QueryPlan, answers: np.ndarray) -> StrategyAnswer:
         raise StructuralError(
             f"expected {len(q_idx)} query answers, got shape {answers.shape}"
         )
-    respond_fn = _REGISTRY[plan.strategy][1]
-    if plan.strategy == "general_vc":
-        return respond_fn(plan, answers)
     realized_mask = np.zeros(plan.graph.m, dtype=bool)
     realized_mask[q_idx[answers]] = True
-    return respond_fn(plan, realized_mask)
+    return _REGISTRY[plan.strategy][1](plan, realized_mask)

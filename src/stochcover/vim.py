@@ -205,7 +205,8 @@ class ExactRowCache:
         comp = self._component[v]
         in_comp = self._component[g.edge_u] == comp
         free = np.nonzero(in_comp)[0]
-        free = np.array([e for e in free.tolist() if e not in set(own)], dtype=np.int64)
+        own_set = set(own)
+        free = np.array([e for e in free.tolist() if e not in own_set], dtype=np.int64)
         if len(free) > self.max_bits:
             raise CapacityError(
                 f"exact row needs 2^{len(free)} enumerations (cap 2^{self.max_bits})"

@@ -12,6 +12,13 @@ as the yardstick for tie-breaking.  The production kernel must return the
 identical matching (which maximum matching comes back, not only its size),
 because partition marginals and `mc_matching`'s query set depend on it.
 
+`reference_general_vc_plan` and `reference_general_vc_cover` are the
+package's earlier water-filling plan and cover, kept verbatim with the
+`FillingResult` and `FractionalAssignment` types they were built on.  The
+production plan must match them bit for bit (committed set, queried set and
+residual budgets) and the production cover must be identical, because every
+`general_vc` row of a CSV depends on both.
+
 `policy_matching_sizes` and `conditional_match_probs` are Monte-Carlo
 yardsticks for the partition policy and for the exact proposal rows; they
 drive the package's own policies and base matchers on fresh draws.
@@ -20,13 +27,15 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from stochcover import rng
-from stochcover.errors import StructuralError
+from stochcover.errors import ParameterError, StructuralError
 from stochcover.graphs import EdgePartition, Graph, bipartition
 from stochcover.matching import hk_on_mask
 from stochcover.partition import MatchingPolicy, _policy_draws
@@ -349,3 +358,168 @@ def reference_konig_cover(
                 "input matching was not maximum"
             )
     return cover
+
+
+# --- the earlier water-filling plan and cover, kept verbatim ------------------
+
+_REFERENCE_SATURATION_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class _ReferenceAssignment:
+    """Nonnegative per-edge values, e.g. a fractional matching."""
+
+    parent: Graph
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.shape != (self.parent.m,):
+            raise StructuralError(
+                f"assignment has shape {arr.shape}, expected ({self.parent.m},)"
+            )
+        object.__setattr__(self, "values", arr)
+
+    def vertex_sums(self) -> np.ndarray:
+        sums = np.zeros(self.parent.n, dtype=np.float64)
+        if self.parent.m:
+            np.add.at(sums, self.parent.edge_u, self.values)
+            np.add.at(sums, self.parent.edge_v, self.values)
+        return sums
+
+
+@dataclass(frozen=True)
+class _ReferenceFillingResult:
+    parent: Graph
+    budgets: np.ndarray
+    death: np.ndarray
+    saturated: np.ndarray
+    elapsed: float
+    edge_mask: np.ndarray
+
+    @cached_property
+    def assignment(self) -> _ReferenceAssignment:
+        g = self.parent
+        values = np.zeros(g.m, dtype=np.float64)
+        if g.m:
+            values = np.minimum(self.death[g.edge_u], self.death[g.edge_v])
+            values[~self.edge_mask] = 0.0
+        return _ReferenceAssignment(g, values)
+
+
+@dataclass(frozen=True)
+class ReferenceGeneralVcPlan:
+    parent: Graph
+    t: float
+    capped: _ReferenceAssignment
+    committed: np.ndarray
+    queried: np.ndarray
+    residual_budget: np.ndarray
+
+
+def _reference_as_budgets(graph: Graph, budgets: Union[float, np.ndarray]) -> np.ndarray:
+    b = np.broadcast_to(np.asarray(budgets, dtype=np.float64), (graph.n,)).copy()
+    if np.any(b < 0.0) or np.any(b > 1.0):
+        raise ParameterError("budgets must lie in [0, 1]")
+    return b
+
+
+def _reference_filling_on_mask(
+    graph: Graph, mask: Optional[np.ndarray], budgets: Union[float, np.ndarray]
+) -> _ReferenceFillingResult:
+    n = graph.n
+    b = _reference_as_budgets(graph, budgets)
+    if mask is None:
+        emask = np.ones(graph.m, dtype=bool)
+    else:
+        emask = np.asarray(mask, dtype=bool)
+        if emask.shape != (graph.m,):
+            raise StructuralError("edge mask has wrong length")
+
+    deg = graph.degree_of_mask(emask).astype(np.float64)
+    slack = b.copy()
+    active = np.ones(n, dtype=bool)
+    death = np.zeros(n, dtype=np.float64)
+    saturated = np.zeros(n, dtype=bool)
+    adj = graph.adjacency
+
+    def kill(vs: np.ndarray, now: float, by_saturation: bool) -> None:
+        for v in vs.tolist():
+            active[v] = False
+            death[v] = now
+            saturated[v] = by_saturation
+        # edges from a dead vertex stop growing: drop neighbor rates
+        for v in vs.tolist():
+            for (w, e) in adj[v]:
+                if emask[e] and active[w]:
+                    deg[w] -= 1.0
+
+    elapsed = 0.0
+    # zero budgets saturate immediately
+    zero = active & (slack <= _REFERENCE_SATURATION_TOL)
+    if np.any(zero):
+        kill(np.nonzero(zero)[0], 0.0, True)
+
+    while True:
+        growing = active & (deg > 0.0)
+        if not np.any(growing):
+            break
+        rates = deg[growing]
+        dt = float(np.min(slack[growing] / rates))
+        elapsed += dt
+        slack[growing] -= rates * dt
+        newly = growing & (slack <= _REFERENCE_SATURATION_TOL)
+        kill(np.nonzero(newly)[0], elapsed, True)
+
+    death[active] = elapsed
+    return _ReferenceFillingResult(graph, b, death, saturated, elapsed, emask)
+
+
+def _reference_truncate_at(result: _ReferenceFillingResult, t: float) -> _ReferenceAssignment:
+    if t < 0:
+        raise ParameterError("truncation time must be nonnegative")
+    vals = np.minimum(result.assignment.values, t)
+    return _ReferenceAssignment(result.parent, vals)
+
+
+def reference_general_vc_plan(
+    graph: Graph,
+    epsilon: float,
+    p: float,
+    t: Optional[float] = None,
+) -> ReferenceGeneralVcPlan:
+    """The earlier `general_vc_plan`: full run, capped assignment, commits."""
+    if not (0.0 < epsilon):
+        raise ParameterError("epsilon must be positive")
+    if not (0.0 < p <= 1.0):
+        raise ParameterError("p must lie in (0, 1]")
+    if t is None:
+        t = (epsilon**3) * p / 64.0
+    if not (0.0 < t):
+        raise ParameterError("truncation time must be positive")
+
+    run = _reference_filling_on_mask(graph, None, 1.0)
+    capped = _reference_truncate_at(run, t)
+    sums = capped.vertex_sums()
+    committed = sums >= 1.0 - _REFERENCE_SATURATION_TOL
+    if graph.m:
+        queried = ~(committed[graph.edge_u] | committed[graph.edge_v])
+    else:
+        queried = np.zeros(0, dtype=bool)
+    residual = np.clip(1.0 - sums, 0.0, 1.0)
+    return ReferenceGeneralVcPlan(graph, float(t), capped, committed, queried, residual)
+
+
+def reference_general_vc_cover(plan: ReferenceGeneralVcPlan, realized_q: np.ndarray) -> np.ndarray:
+    """The earlier `general_vc_cover`: answers aligned to the queried edges."""
+    g = plan.parent
+    q_idx = np.nonzero(plan.queried)[0]
+    realized_q = np.asarray(realized_q, dtype=bool)
+    if realized_q.shape != (len(q_idx),):
+        raise StructuralError(
+            f"expected {len(q_idx)} query answers, got {realized_q.shape}"
+        )
+    mask = np.zeros(g.m, dtype=bool)
+    mask[q_idx[realized_q]] = True
+    run = _reference_filling_on_mask(g, mask, plan.residual_budget)
+    return plan.committed | run.saturated

@@ -494,3 +494,32 @@ def test_criterion_10_determinism():
     assert run(1) == first, "same-seed repeat diverged"
     assert run(8) == first, "thread count changed output"
     print(f"criterion 10: {len(first)} CSV rows byte-identical at threads 1 and 8")
+
+
+def test_criterion_11_general_vc_withholds_queries():
+    """general_vc at its default constant, on a graph where vertices commit.
+
+    At eps=0.9, p=0.5 the truncation time is t = eps^3 p / 64, so a vertex
+    needs at least ceil(1/t) = 176 incident edges to commit; the 40 core
+    vertices of layered(400, 40) have 200 each, and the other 360 have 21.  The plan then queries only the edges
+    with no committed endpoint, and the answer is the committed set plus
+    whatever the residual run saturates on the realized queried edges.
+    """
+    graph = gen_layered_counterexample(400, 40, seed=1).graph
+    eps = 0.9
+    params = StrategyParams(p=0.5, epsilon=eps, seed=21)
+    payload = plan_strategy("general_vc", graph, params).payload
+    rep = evaluate_strategies(
+        ["general_vc"], graph, params, 200, seed=808, instance="layered(400,40)"
+    )[0]
+    committed = int(payload.committed.sum())
+    print(
+        f"criterion 11: general_vc on layered(400,40) eps={eps} p=0.5 commits {committed}"
+        f" vertices, queries {rep.total_queries} of {graph.m} edges (max {rep.max_pv_queries}"
+        f" per vertex), ratio {rep.ratio:.4f} (ci95 {rep.ratio_ci95:.4f})"
+    )
+    assert committed >= 1
+    assert rep.total_queries <= 0.05 * graph.m, (rep.total_queries, graph.m)
+    assert rep.max_pv_queries <= math.ceil(1.0 / payload.t), rep.max_pv_queries
+    assert rep.validity_failures == 0
+    assert rep.ratio is not None and rep.ratio <= 2.0 + eps, rep.ratio

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import reference_general_vc_cover, reference_general_vc_plan
 from stochcover.errors import ParameterError, StructuralError
 from stochcover.filling import (
     SATURATION_TOL,
-    filling,
     filling_on_mask,
     general_vc_cover,
     general_vc_plan,
-    truncate_at,
 )
 from stochcover.graphs import Graph
+from stochcover.instances import gen_er
+from stochcover.strategies import StrategyParams, plan_strategy, respond_strategy
 
 
 @st.composite
@@ -24,73 +25,101 @@ def small_graphs(draw):
     return Graph(n, tuple(edges))
 
 
+def full_run(g, budgets=1.0):
+    return filling_on_mask(g, np.ones(g.m, dtype=bool), budgets)
+
+
+def edge_values(g, death, mask=None):
+    """An edge's value is min(death u, death v) if it took part, else 0."""
+    values = np.minimum(death[g.edge_u], death[g.edge_v])
+    if mask is not None:
+        values[~mask] = 0.0
+    return values
+
+
+def vertex_sums(g, values):
+    sums = np.zeros(g.n, dtype=np.float64)
+    np.add.at(sums, g.edge_u, values)
+    np.add.at(sums, g.edge_v, values)
+    return sums
+
+
 def test_triangle_fills_to_halves(triangle):
-    run = filling(triangle)
-    assert np.allclose(run.assignment.values, 0.5)
-    assert run.saturated.all()
-    assert np.allclose(run.death, 0.5)
+    death, saturated = full_run(triangle)
+    assert np.allclose(edge_values(triangle, death), 0.5)
+    assert saturated.all()
+    assert np.allclose(death, 0.5)
 
 
 def test_star_center_saturates_alone():
     g = Graph(4, ((0, 1), (0, 2), (0, 3)))
-    run = filling(g)
-    assert np.allclose(run.assignment.values, 1.0 / 3.0)
-    assert run.saturated.tolist() == [True, False, False, False]
+    death, saturated = full_run(g)
+    assert np.allclose(edge_values(g, death), 1.0 / 3.0)
+    assert saturated.tolist() == [True, False, False, False]
     # leaves never saturate; their death time records the end of the run
-    assert np.allclose(run.death[1:], run.elapsed)
+    assert np.allclose(death[1:], 1.0 / 3.0)
 
 
 def test_path_two_edges():
     g = Graph(3, ((0, 1), (1, 2)))
-    run = filling(g)
-    assert np.allclose(run.assignment.values, 0.5)
-    assert run.saturated.tolist() == [False, True, False]
+    death, saturated = full_run(g)
+    assert np.allclose(edge_values(g, death), 0.5)
+    assert saturated.tolist() == [False, True, False]
 
 
 def test_zero_budget_vertices_die_immediately():
     g = Graph(2, ((0, 1),))
-    run = filling(g, np.array([0.0, 1.0]))
-    assert run.death[0] == 0.0
-    assert run.saturated[0]
-    assert run.assignment.values[0] == 0.0
+    death, saturated = full_run(g, np.array([0.0, 1.0]))
+    assert death[0] == 0.0
+    assert saturated[0]
+    assert edge_values(g, death)[0] == 0.0
 
 
 def test_budget_validation():
     g = Graph(2, ((0, 1),))
     with pytest.raises(ParameterError):
-        filling(g, 1.5)
+        full_run(g, 1.5)
     with pytest.raises(ParameterError):
-        filling(g, np.array([-0.1, 0.5]))
+        full_run(g, np.array([-0.1, 0.5]))
 
 
 @given(small_graphs(), st.floats(0.05, 1.0))
 def test_assignment_is_always_feasible(g, budget):
-    run = filling(g, budget)
-    sums = run.assignment.vertex_sums()
-    assert (sums <= budget + 10 * SATURATION_TOL).all()
-    assert (run.assignment.values >= 0).all()
+    death, _saturated = full_run(g, budget)
+    values = edge_values(g, death)
+    assert (vertex_sums(g, values) <= budget + 10 * SATURATION_TOL).all()
+    assert (values >= 0).all()
 
 
 @given(small_graphs())
 def test_every_edge_has_a_saturated_endpoint(g):
-    run = filling(g)
+    _death, saturated = full_run(g)
     for u, v in g.edges:
-        assert run.saturated[u] or run.saturated[v]
-
-
-def test_truncate_caps_values(triangle):
-    run = filling(triangle)
-    capped = truncate_at(run, 0.2)
-    assert np.allclose(capped.values, 0.2)
-    full = truncate_at(run, 2.0)
-    assert np.allclose(full.values, 0.5)
+        assert saturated[u] or saturated[v]
 
 
 def test_masked_filling_ignores_missing_edges():
     g = Graph(3, ((0, 1), (1, 2)))
-    run = filling_on_mask(g, np.array([True, False]), np.ones(3))
-    assert run.assignment.values[1] == 0.0
-    assert run.assignment.values[0] == 1.0
+    mask = np.array([True, False])
+    death, saturated = filling_on_mask(g, mask, np.ones(3))
+    values = edge_values(g, death, mask)
+    assert values[1] == 0.0
+    assert values[0] == 1.0
+    # vertex 2's only edge is missing, so its budget never fills
+    assert saturated.tolist() == [True, True, False]
+    with pytest.raises(StructuralError):
+        filling_on_mask(g, np.array([True]), 1.0)
+
+
+def test_plan_caps_edge_values_at_t(triangle):
+    # every edge of the triangle fills to 0.5; capped at 0.2 each vertex keeps 0.6
+    low = general_vc_plan(triangle, epsilon=0.5, p=0.5, t=0.2)
+    assert np.allclose(low.residual_budget, 0.6)
+    assert not low.committed.any() and low.queried.all()
+    # a cap above 0.5 leaves the values whole: every vertex is committed
+    high = general_vc_plan(triangle, epsilon=0.5, p=0.5, t=2.0)
+    assert np.allclose(high.residual_budget, 0.0)
+    assert high.committed.all() and not high.queried.any()
 
 
 def test_general_plan_shapes_and_cover():
@@ -99,10 +128,10 @@ def test_general_plan_shapes_and_cover():
     assert plan.t == (1 / 64) * 0.125 * 0.5
     # tiny t: nobody commits, every edge queried
     assert plan.queried.all()
-    answers = np.array([True, False, True, False])
-    cover = general_vc_cover(plan, answers)
-    for e, realized in enumerate(answers):
-        if realized:
+    realized = np.array([True, False, True, False])
+    cover = general_vc_cover(g, plan, realized)
+    for e, present in enumerate(realized):
+        if present:
             u, v = g.edges[e]
             assert cover[u] or cover[v]
 
@@ -113,7 +142,7 @@ def test_general_plan_covers_unqueried_edges_always():
     plan = general_vc_plan(g, epsilon=0.5, p=0.5, t=1.0)
     assert plan.committed.any()
     unqueried = ~plan.queried
-    cover = general_vc_cover(plan, np.zeros(int(plan.queried.sum()), dtype=bool))
+    cover = general_vc_cover(g, plan, np.zeros(g.m, dtype=bool))
     for e in np.nonzero(unqueried)[0]:
         u, v = g.edges[e]
         assert cover[u] or cover[v]
@@ -121,9 +150,9 @@ def test_general_plan_covers_unqueried_edges_always():
 
 def test_general_cover_rejects_wrong_answer_length():
     g = Graph(2, ((0, 1),))
-    plan = general_vc_plan(g, 0.5, 0.5)
+    plan = plan_strategy("general_vc", g, StrategyParams(p=0.5))
     with pytest.raises(StructuralError):
-        general_vc_cover(plan, np.array([True, False]))
+        respond_strategy(plan, np.array([True, False]))
 
 
 @given(small_graphs(), st.floats(0.01, 0.3))
@@ -140,3 +169,31 @@ def test_parameter_validation():
         general_vc_plan(g, 0.0, 0.5)
     with pytest.raises(ParameterError):
         general_vc_plan(g, 0.5, 0.0)
+
+
+@st.composite
+def er_graphs(draw):
+    n = draw(st.integers(2, 14))
+    prob = draw(st.floats(0.1, 0.9))
+    return gen_er(n, prob, seed=draw(st.integers(0, 10**6))).graph
+
+
+@given(er_graphs(), st.data())
+def test_plan_and_cover_match_the_reference(g, data):
+    # None takes the epsilon^3 p / 64 default; an edge value of the uncapped
+    # run puts t exactly on a commit threshold; large floats commit whole regions.
+    whole = reference_general_vc_plan(g, 0.5, 0.5, t=1.0).capped.values
+    thresholds = sorted(set(whole.tolist())) or [1.0]
+    t = data.draw(st.one_of(st.none(), st.floats(1e-3, 1.0), st.sampled_from(thresholds)))
+    overrides = {} if t is None else {"t": t}
+    plan = plan_strategy("general_vc", g, StrategyParams(p=0.5, epsilon=0.5, overrides=overrides))
+    ours = plan.payload
+    ref = reference_general_vc_plan(g, 0.5, 0.5, t=t)
+    assert ours.t == ref.t
+    assert np.array_equal(ours.queried, ref.queried)
+    assert np.array_equal(ours.committed, ref.committed)
+    assert ours.residual_budget.tobytes() == ref.residual_budget.tobytes()
+    q = int(ref.queried.sum())
+    answers = np.array(data.draw(st.lists(st.booleans(), min_size=q, max_size=q)), dtype=bool)
+    cover = respond_strategy(plan, answers).cover
+    assert np.array_equal(cover, reference_general_vc_cover(ref, answers))
