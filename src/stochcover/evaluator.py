@@ -3,10 +3,13 @@
 One evaluation = plan once, then for each trial draw a realization, hand
 the strategy only the answers for its queried edges, check the answer
 against the full realization, and solve the realization exactly for the
-reference optimum.  Trials use seeds derived from (seed, trial index), so
-a report is reproducible bit for bit at any thread count, and separate
-evaluations with the same seed see the same realizations (common random
-numbers).
+reference optimum.  The optimum comes from `strategies.exact_cover_on_mask`,
+which keeps its last solve, so a strategy that answered the same trial with
+an exact cover of the whole realization (any plan that queried every edge)
+has already paid for it.  Trials use seeds derived from (seed, trial
+index), so a report is reproducible bit for bit at any thread count, and
+separate evaluations with the same seed see the same realizations (common
+random numbers).
 
 For tiny graphs there is also a full-enumeration oracle giving exact
 expected optimum sizes, used to cross-check the Monte-Carlo pipeline.
@@ -24,12 +27,11 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .graphs import Graph, Realization, bipartition
-from .matching import hk_on_mask, mvc_general_on_mask
 from .strategies import (
-    GENERAL_OPT_BUDGET,
     QueryPlan,
     StrategyAnswer,
     StrategyParams,
+    exact_cover_on_mask,
     plan_strategy,
     respond_strategy,
     strategy_kind,
@@ -163,18 +165,18 @@ class _OptimumSolver:
     def solve(self, mask: np.ndarray, need_nu: bool, need_mu: bool) -> tuple[int, int]:
         """(nu, mu) of one realization; 0 for a value not needed or out of reach.
 
-        On a bipartite graph one Hopcroft-Karp run gives both, since
-        nu = mu there (Konig's theorem).  Otherwise mu is out of reach, and
-        nu comes from branch and bound until it first exceeds
-        GENERAL_OPT_BUDGET active vertices.
+        On a bipartite graph one exact cover gives both, since nu = mu
+        there (Konig's theorem).  Otherwise mu is out of reach, and nu comes
+        from branch and bound until it first exceeds GENERAL_OPT_BUDGET
+        active vertices.
         """
         if self.side is not None:
-            _pair, _pedge, size = hk_on_mask(self.graph, self.side, mask)
+            size = exact_cover_on_mask(self.graph, mask)[1]
             return (size if need_nu else 0), (size if need_mu else 0)
         if not need_nu or self.infeasible_nu:
             return 0, 0
         try:
-            return mvc_general_on_mask(self.graph, mask, GENERAL_OPT_BUDGET)[1], 0
+            return exact_cover_on_mask(self.graph, mask)[1], 0
         except CapacityError:
             self.infeasible_nu = True
             return 0, 0

@@ -14,16 +14,26 @@ grows any more get the end time of the run and saturated = False; a zero
 budget saturates at time 0.  An edge's value is min(death[u], death[v]) if
 it took part in the run, else 0.
 
+Two sweeps run the same process under the same tie rule: an event at time
+T kills every growing vertex whose slack at T is within SATURATION_TOL.
+`filling_on_mask` is iterative and advances all slacks together at every
+event; the plan reads its death times, which must stay bit-identical to
+the earlier implementation's, since committing compares capped sums
+against 1 exactly.  `saturated_on_mask` keeps each slack lazily in a heap
+of projected death times, in O((n + m) log n), and returns the saturated
+set alone, which is all a response needs.
+
 The cover construction built on top: run the process once on the full graph
 with unit budgets, cap every edge value at a small time t, commit the
 vertices that are still saturated after capping, and query only the edges
 with no committed endpoint (their count per vertex is at most ceil(1/t)).
 At response time, rerun the process on the realized queried edges with the
-leftover budgets; saturated vertices together with the committed ones cover
-everything that was realized.
+leftover budgets (the heap sweep); saturated vertices together with the
+committed ones cover everything that was realized.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -35,6 +45,7 @@ from .graphs import Graph
 __all__ = [
     "GeneralVcPlan",
     "filling_on_mask",
+    "saturated_on_mask",
     "general_vc_plan",
     "general_vc_cover",
 ]
@@ -77,17 +88,21 @@ def filling_on_mask(
     death = np.zeros(n, dtype=np.float64)
     saturated = np.zeros(n, dtype=bool)
     adj = graph.adjacency
+    # Python-list mirrors of `emask` and `active` for the per-edge reads
+    in_mask = emask.tolist()
+    alive = [True] * n
 
     def kill(vs: np.ndarray, now: float) -> None:
-        for v in vs.tolist():
-            active[v] = False
-            death[v] = now
-            saturated[v] = True
-        # edges from a dead vertex stop growing: drop neighbor rates
-        for v in vs.tolist():
-            for (w, e) in adj[v]:
-                if emask[e] and active[w]:
-                    deg[w] -= 1.0
+        active[vs] = False
+        death[vs] = now
+        saturated[vs] = True
+        dying = vs.tolist()
+        for v in dying:
+            alive[v] = False
+        # edges from a dead vertex stop growing: drop neighbor rates (whole
+        # numbers, so subtracting them all at once gives the same values)
+        drops = [w for v in dying for (w, e) in adj[v] if in_mask[e] and alive[w]]
+        np.subtract.at(deg, drops, 1.0)
 
     elapsed = 0.0
     # zero budgets saturate immediately
@@ -108,6 +123,81 @@ def filling_on_mask(
 
     death[active] = elapsed
     return death, saturated
+
+
+def saturated_on_mask(
+    graph: Graph, mask: np.ndarray, budgets: Union[float, np.ndarray]
+) -> np.ndarray:
+    """The `saturated` half of `filling_on_mask`'s result, from a heap sweep.
+
+    Each alive vertex v keeps its slack at time t0[v] and its rate deg[v],
+    the number of its masked edges to alive vertices, so its projected
+    death time is t0[v] + slack[v] / deg[v].  A rate only ever falls, which
+    only delays that time, so the heap keeps one entry (key, v) per growing
+    vertex and lets a key lag behind: a key is a lower bound on v's death
+    time, and an entry found stale at the top is re-keyed instead of being
+    pushed anew at every rate change.  An event at the least current key T
+    takes every entry up to T + SATURATION_TOL and kills the vertices whose
+    slack at T is within SATURATION_TOL; the others go back.
+    """
+    n = graph.n
+    slack = _as_budgets(graph, budgets).tolist()
+    emask = np.asarray(mask, dtype=bool)
+    if emask.shape != (graph.m,):
+        raise StructuralError("edge mask has wrong length")
+    idx = np.flatnonzero(emask)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(graph.edge_u[idx].tolist(), graph.edge_v[idx].tolist()):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = [len(row) for row in nbrs]
+    t0 = [0.0] * n
+    alive = [True] * n
+    saturated = np.zeros(n, dtype=bool)
+
+    def kill(dying: list[int], now: float) -> None:
+        for v in dying:
+            alive[v] = False
+        # edges from a dead vertex stop growing: settle each neighbor's
+        # slack at `now`, then lower its rate
+        for v in dying:
+            for w in nbrs[v]:
+                if alive[w]:
+                    slack[w] -= deg[w] * (now - t0[w])
+                    t0[w] = now
+                    deg[w] -= 1
+        saturated[dying] = True
+
+    # zero budgets saturate immediately
+    kill([v for v in range(n) if slack[v] <= SATURATION_TOL], 0.0)
+    heap = [(slack[v] / deg[v], v) for v in range(n) if alive[v] and deg[v]]
+    heapq.heapify(heap)
+    while heap:
+        key, v = heap[0]
+        d = deg[v]
+        if not d:
+            heapq.heappop(heap)  # stopped growing without saturating
+            continue
+        due = t0[v] + slack[v] / d
+        if due != key:
+            heapq.heapreplace(heap, (due, v))
+            continue
+        now = key
+        window = now + SATURATION_TOL
+        batch = []
+        while heap and heap[0][0] <= window:
+            batch.append(heapq.heappop(heap)[1])
+        dying = []
+        for v in batch:
+            d = deg[v]
+            if not d:
+                continue
+            if slack[v] - d * (now - t0[v]) <= SATURATION_TOL:
+                dying.append(v)
+            else:
+                heapq.heappush(heap, (t0[v] + slack[v] / d, v))
+        kill(dying, now)
+    return saturated
 
 
 def general_vc_plan(
@@ -152,5 +242,4 @@ def general_vc_cover(
     every vertex the residual run saturates; it touches all unqueried edges
     and all realized queried ones.
     """
-    _death, saturated = filling_on_mask(graph, realized_mask, plan.residual_budget)
-    return plan.committed | saturated
+    return plan.committed | saturated_on_mask(graph, realized_mask, plan.residual_budget)

@@ -13,6 +13,7 @@ on large general graphs.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -23,6 +24,7 @@ from .errors import CapacityError, StructuralError
 from .graphs import Graph
 
 __all__ = [
+    "BipartiteBase",
     "Matching",
     "hk_on_mask",
     "konig_cover_from_pairs",
@@ -82,10 +84,45 @@ class _Adjacency:
             eid[u].append(e)
         self.nbr = nbr
         self.eid = eid
-        self.active = [u for u in range(n) if nbr[u]]
+        self._set_active(side, proper, [u for u in range(n) if nbr[u]])
+
+    def _set_active(self, side: np.ndarray, proper: bool, active: list[int]) -> None:
+        self.active = active
         # every edge has a side-0 endpoint on a proper side array, so the
         # vertices holding edges are exactly the side-0 ones
-        self.lefts = self.active if proper else [u for u in self.active if side[u] == 0]
+        self.lefts = active if proper else [u for u in active if side[u] == 0]
+
+    def plus(self, graph: Graph, side: np.ndarray, edge_indices: Sequence[int]) -> "_Adjacency":
+        """This adjacency with more edges, each at its edge-index position.
+
+        For an adjacency built in increasing edge order and new edges it
+        does not hold, the result equals, list for list, the adjacency
+        built from the union in increasing edge order.  Only the rows the
+        new edges touch are copied; this adjacency is left as it was.
+        """
+        left, right, proper = graph.oriented_endpoints(side)
+        nbr = list(self.nbr)
+        eid = list(self.eid)
+        copied: set[int] = set()
+        for e in edge_indices:
+            u = left[e]
+            if u not in copied:
+                copied.add(u)
+                nbr[u] = list(nbr[u])
+                eid[u] = list(eid[u])
+            row = eid[u]
+            i = bisect_left(row, e)
+            row.insert(i, e)
+            nbr[u].insert(i, right[e])
+        out = _Adjacency.__new__(_Adjacency)
+        out.nbr = nbr
+        out.eid = eid
+        active = self.active
+        fresh = [u for u in copied if not self.nbr[u]]
+        if fresh:
+            active = sorted(active + fresh)
+        out._set_active(side, proper, active)
+        return out
 
 
 def _mask_edges(graph: Graph, mask: Optional[np.ndarray]) -> Sequence[int]:
@@ -265,21 +302,44 @@ def konig_cover_from_pairs(
 
 
 def mvc_bipartite_on_mask(
-    graph: Graph,
-    side: np.ndarray,
-    mask: Optional[np.ndarray],
-    init_pair: Optional[Sequence[int]] = None,
-    init_pair_edge: Optional[Sequence[int]] = None,
+    graph: Graph, side: np.ndarray, mask: Optional[np.ndarray]
 ) -> tuple[np.ndarray, int]:
     """Exact minimum vertex cover of a masked bipartite graph.
 
-    Hopcroft-Karp, optionally warm-started, then Konig's construction, both
-    on one adjacency build.
+    Hopcroft-Karp, then Konig's construction, both on one adjacency build.
+    `BipartiteBase` is the warm-started form.
     """
     adj = _Adjacency(graph, side, _mask_edges(graph, mask))
-    pair, pedge = _start_pairs(graph.n, init_pair, init_pair_edge)
+    pair, pedge = _start_pairs(graph.n, None, None)
     size = _hopcroft_karp(adj, pair, pedge)
     return _konig(adj, pair, graph.n, strict=True), size
+
+
+class BipartiteBase:
+    """A fixed edge set S of a bipartite graph, prepared for exact covers of S + X.
+
+    Holds S's adjacency and a maximum matching of S, both built once.  Each
+    `solve` adds the edges of X to a copy of the adjacency, warm-starts
+    Hopcroft-Karp from S's matching, and extracts Konig's cover.  The
+    result equals `hk_on_mask` warm-started from S's matching on S | X,
+    followed by `konig_cover_from_pairs`, since the adjacency lists are the
+    same.  Instances are read-only after construction, so threads may share one.
+    """
+
+    def __init__(self, graph: Graph, side: np.ndarray, s_mask: np.ndarray):
+        self.graph = graph
+        self.side = side
+        self.adj = _Adjacency(graph, side, _mask_edges(graph, s_mask))
+        self.pair, self.pedge = _start_pairs(graph.n, None, None)
+        _hopcroft_karp(self.adj, self.pair, self.pedge)
+
+    def solve(self, extra_mask: np.ndarray) -> tuple[list[int], list[int], int, np.ndarray]:
+        """(pair, pair_edge, size, cover) of S | extra_mask; the mask must avoid S."""
+        g = self.graph
+        adj = self.adj.plus(g, self.side, np.flatnonzero(extra_mask).tolist())
+        pair, pedge = _start_pairs(g.n, self.pair, self.pedge)
+        size = _hopcroft_karp(adj, pair, pedge)
+        return pair, pedge, size, _konig(adj, pair, g.n, strict=True)
 
 
 # --- exact minimum vertex cover, general graphs -------------------------------

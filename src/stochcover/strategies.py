@@ -19,6 +19,13 @@ Catalog:
 The cover strategies other than general_vc share one responder: an exact
 cover of realized-Q union S, where S is the unqueried edges.
 query_everything (S empty) and query_nothing (Q empty) are its two ends.
+On a bipartite graph the plan prepares S once (its adjacency and a maximum
+matching), and each response adds the realized Q-edges to a copy of that
+adjacency and warm-starts from that matching.  Every other case (a general
+graph, or S empty) answers with `exact_cover_on_mask`, which keeps the last
+mask it solved on the graph.  With S empty that mask is the realization
+itself, so the evaluator's optimum of the same realization costs no second
+solve.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ import numpy as np
 from .errors import ApplicabilityError, ParameterError, StructuralError
 from .filling import GeneralVcPlan, general_vc_cover, general_vc_plan
 from .graphs import Graph, bipartition
-from .matching import hk_on_mask, mvc_bipartite_on_mask, mvc_general_on_mask
+from .matching import BipartiteBase, hk_on_mask, mvc_bipartite_on_mask, mvc_general_on_mask
 from .partition import PartitionConfig, build_partition
 from . import rng
 
@@ -41,6 +48,7 @@ __all__ = [
     "QueryPlan",
     "StrategyAnswer",
     "STRATEGY_IDS",
+    "exact_cover_on_mask",
     "strategy_kind",
     "plan_strategy",
     "respond_strategy",
@@ -135,14 +143,36 @@ def _require_bipartite(graph: Graph, strategy: str) -> np.ndarray:
     return sides.side
 
 
+def exact_cover_on_mask(graph: Graph, mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact minimum vertex cover of the edges selected by `mask`, and its size.
+
+    Hopcroft-Karp and Konig from a cold start on a bipartite graph, branch
+    and bound up to GENERAL_OPT_BUDGET active vertices otherwise (above it
+    CapacityError, every time).  The last result is kept on the graph,
+    keyed by the mask's bytes, and the cover is read-only: a response and
+    the evaluator's optimum of one realization share a single solve.  The
+    slot is replaced as one tuple, so concurrent callers can only miss it.
+    """
+    key = np.asarray(mask, dtype=bool).tobytes()
+    memo = graph.__dict__.get("_exact_cover")
+    if memo is not None and memo[0] == key:
+        return memo[1], memo[2]
+    sides = bipartition(graph)
+    if sides is not None:
+        cover, size = mvc_bipartite_on_mask(graph, sides.side, mask)
+    else:
+        cover, size = mvc_general_on_mask(graph, mask, GENERAL_OPT_BUDGET)
+    cover.flags.writeable = False
+    graph.__dict__["_exact_cover"] = (key, cover, size)
+    return cover, size
+
+
 @dataclass(frozen=True)
 class _HalfStochasticPayload:
     """State for strategies answering with an exact cover of realized-Q union S."""
 
-    side: Optional[np.ndarray]
-    s_mask: np.ndarray
-    warm_pair: Optional[list]
-    warm_pedge: Optional[list]
+    s_mask: np.ndarray  # S, the unqueried edges
+    s_base: Optional[BipartiteBase]  # S prepared once, on a bipartite graph with S nonempty
     extra: Any
 
 
@@ -155,16 +185,15 @@ def _half_stochastic_plan(
 ) -> QueryPlan:
     """Plan answered by `_respond_half_stochastic`, with S = the unqueried edges.
 
-    On a bipartite graph a maximum matching of S alone is solved once here
-    and warm-starts every respond call.
+    On a bipartite graph S's adjacency and a maximum matching of S are
+    built once here and start every respond call.
     """
-    sides = bipartition(graph)
-    side = sides.side if sides is not None else None
     s_mask = ~queried
-    pair = pedge = None
-    if side is not None:
-        pair, pedge, _size = hk_on_mask(graph, side, s_mask)
-    payload = _HalfStochasticPayload(side, s_mask, pair, pedge, extra)
+    sides = bipartition(graph)
+    s_base = None
+    if sides is not None and s_mask.any():
+        s_base = BipartiteBase(graph, sides.side, s_mask)
+    payload = _HalfStochasticPayload(s_mask, s_base, extra)
     return QueryPlan(strategy, graph, params, queried, payload)
 
 
@@ -172,14 +201,11 @@ def _respond_half_stochastic(
     plan: QueryPlan, realized_mask: np.ndarray
 ) -> StrategyAnswer:
     payload: _HalfStochasticPayload = plan.payload
-    g = plan.graph
-    h_mask = payload.s_mask | realized_mask
-    if payload.side is not None:
-        cover, _size = mvc_bipartite_on_mask(
-            g, payload.side, h_mask, payload.warm_pair, payload.warm_pedge
-        )
+    if payload.s_base is not None:
+        cover = payload.s_base.solve(realized_mask)[3]
     else:
-        cover, _size = mvc_general_on_mask(g, h_mask, GENERAL_OPT_BUDGET)
+        # with S empty this is the realization, whose solve the optimum shares
+        cover, _size = exact_cover_on_mask(plan.graph, payload.s_mask | realized_mask)
     return StrategyAnswer("cover", cover=cover)
 
 

@@ -1,22 +1,39 @@
 import io
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expected_stats_by_enumeration
+from oracles import brute_min_vertex_cover, expected_stats_by_enumeration
+from stochcover import rng
 from stochcover.errors import CapacityError, ParameterError
 from stochcover.evaluator import (
     CSV_COLUMNS,
+    _TAG_TRIAL,
+    _OptimumSolver,
     evaluate_strategies,
     exact_expected_stats,
     validity_check,
     write_csv,
 )
 from stochcover.graphs import Graph, Realization
-from stochcover.instances import gen_clique, gen_er, gen_er_bipartite, gen_perfect_matching
-from stochcover.strategies import StrategyAnswer, StrategyParams
+from stochcover.instances import (
+    gen_clique,
+    gen_er,
+    gen_er_bipartite,
+    gen_layered_counterexample,
+    gen_perfect_matching,
+)
+from stochcover.strategies import (
+    GENERAL_OPT_BUDGET,
+    StrategyAnswer,
+    StrategyParams,
+    exact_cover_on_mask,
+    plan_strategy,
+    respond_strategy,
+)
 
 
 def test_validity_check_covers():
@@ -113,6 +130,68 @@ def test_thread_count_does_not_change_results():
         for r in evaluate_strategies(ids, g, params, 400, seed=11, threads=8)
     ]
     assert rows1 == rows8
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [gen_er_bipartite(6, 6, 0.4, seed=3).graph, gen_er(12, 0.3, seed=1).graph],
+    ids=["bipartite", "general"],
+)
+def test_query_everything_answers_with_the_optimum_solve(graph):
+    plan = plan_strategy("query_everything", graph, StrategyParams(p=0.3))
+    solver = _OptimumSolver(graph)
+    for k in range(40):
+        mask = rng.bernoulli_mask(rng.derive_seed(5, _TAG_TRIAL, k), graph.m, 0.3)
+        answer = respond_strategy(plan, mask)
+        nu, _mu = solver.solve(mask, need_nu=True, need_mu=False)
+        assert answer.size == nu == brute_min_vertex_cover(graph, mask)
+        # the optimum read the cover the answer solved
+        assert exact_cover_on_mask(graph, mask)[0] is answer.cover
+
+
+def test_exact_cover_memo_is_shared_and_read_only():
+    g = gen_er_bipartite(6, 6, 0.4, seed=3).graph
+    mask = rng.bernoulli_mask(9, g.m, 0.5)
+    cover, size = exact_cover_on_mask(g, mask)
+    with pytest.raises(ValueError):
+        cover[0] = not cover[0]
+    again, again_size = exact_cover_on_mask(g, mask.copy())
+    assert again is cover and again_size == size
+    other, _size = exact_cover_on_mask(g, ~mask)
+    assert other is not cover
+
+
+def test_exact_cover_refusal_is_never_kept():
+    g = gen_er(120, 0.1, seed=2).graph
+    full = np.ones(g.m, dtype=bool)
+    assert np.count_nonzero(g.degree_of_mask(full)) > GENERAL_OPT_BUDGET
+    small = np.zeros(g.m, dtype=bool)
+    small[:3] = True
+    exact_cover_on_mask(g, small)
+    for _ in range(3):
+        with pytest.raises(CapacityError):
+            exact_cover_on_mask(g, full)
+
+
+def test_thread_count_does_not_change_shared_solves(corpus):
+    # a general graph, whose responds and optima share branch and bound
+    # solves, and a bipartite one, whose baseline shares a prebuilt S
+    er26 = corpus["er(n=26,edge_prob=0.1)s5"].graph
+    layered = gen_layered_counterexample(60, 12, seed=1).graph
+    ids = ["general_vc", "random_query_baseline", "query_everything"]
+    params = StrategyParams(p=0.4, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the memo's reads and writes
+    try:
+        for g in (er26, layered):
+            rows1 = [r.csv_row()[:-1] for r in evaluate_strategies(ids, g, params, 300, seed=11)]
+            rows8 = [
+                r.csv_row()[:-1]
+                for r in evaluate_strategies(ids, g, params, 300, seed=11, threads=8)
+            ]
+            assert rows1 == rows8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_capacity_latch_drops_optimum_columns():

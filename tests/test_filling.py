@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import reference_general_vc_cover, reference_general_vc_plan
 from stochcover.errors import ParameterError, StructuralError
+from stochcover import rng
 from stochcover.filling import (
     SATURATION_TOL,
     filling_on_mask,
     general_vc_cover,
     general_vc_plan,
+    saturated_on_mask,
 )
 from stochcover.graphs import Graph
-from stochcover.instances import gen_er
+from stochcover.instances import gen_clique, gen_er, gen_layered_counterexample, gen_regular_bipartite
 from stochcover.strategies import StrategyParams, plan_strategy, respond_strategy
 
 
@@ -197,3 +199,72 @@ def test_plan_and_cover_match_the_reference(g, data):
     answers = np.array(data.draw(st.lists(st.booleans(), min_size=q, max_size=q)), dtype=bool)
     cover = respond_strategy(plan, answers).cover
     assert np.array_equal(cover, reference_general_vc_cover(ref, answers))
+
+
+@st.composite
+def filling_cases(draw):
+    """A graph, an edge mask and budgets for both sweeps.
+
+    Either an er graph with per-vertex budgets (levels including 0, uniform
+    floats, or a general_vc plan's residual budgets), or a clique or
+    regular bipartite graph with one budget, where whole classes of
+    vertices die in the same event.
+    """
+    if draw(st.booleans()):
+        g = draw(er_graphs())
+        if draw(st.booleans()):
+            t = draw(st.floats(1e-3, 1.0))
+            budgets = general_vc_plan(g, 0.5, 0.5, t=t).residual_budget
+        else:
+            level = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+            budgets = np.array(draw(st.lists(level, min_size=g.n, max_size=g.n)))
+    else:
+        g = draw(
+            st.one_of(
+                st.builds(lambda k: gen_clique(k).graph, st.integers(2, 11)),
+                st.integers(1, 8).flatmap(
+                    lambda half: st.builds(
+                        lambda d: gen_regular_bipartite(2 * half, d).graph, st.integers(1, half)
+                    )
+                ),
+            )
+        )
+        budgets = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        mask = np.ones(g.m, dtype=bool)
+    else:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+    return g, mask, budgets
+
+
+@given(filling_cases())
+@settings(max_examples=200)
+def test_heap_sweep_saturates_the_same_vertices(case):
+    g, mask, budgets = case
+    assert np.array_equal(saturated_on_mask(g, mask, budgets), filling_on_mask(g, mask, budgets)[1])
+
+
+def test_heap_sweep_on_plan_budgets_at_scale():
+    # the residual budgets of a plan are equal on vertices of equal degree,
+    # so many vertices tie
+    g = gen_layered_counterexample(400, 40, seed=1).graph
+    budgets = general_vc_plan(g, 0.5, 0.25).residual_budget
+    for k in range(20):
+        mask = rng.bernoulli_mask(k, g.m, 0.25)
+        assert np.array_equal(
+            saturated_on_mask(g, mask, budgets), filling_on_mask(g, mask, budgets)[1]
+        )
+
+
+def test_heap_sweep_validates_like_the_iterative_sweep():
+    g = Graph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ParameterError):
+        saturated_on_mask(g, np.ones(2, dtype=bool), 1.5)
+    with pytest.raises(StructuralError):
+        saturated_on_mask(g, np.array([True]), 1.0)
+    # a zero budget saturates even without edges
+    assert saturated_on_mask(g, np.zeros(2, dtype=bool), np.array([0.0, 1.0, 1.0])).tolist() == [
+        True,
+        False,
+        False,
+    ]

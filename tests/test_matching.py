@@ -14,13 +14,16 @@ from oracles import (
 from stochcover.errors import CapacityError, StructuralError
 from stochcover.graphs import Graph, bipartition
 from stochcover.matching import (
+    BipartiteBase,
     Matching,
+    _Adjacency,
     greedy_matching_edges,
     hk_on_mask,
     konig_cover_from_pairs,
     mvc_bipartite_on_mask,
     mvc_general_on_mask,
 )
+from stochcover.strategies import StrategyParams, _half_stochastic_plan, respond_strategy
 
 
 @st.composite
@@ -170,10 +173,59 @@ def test_kernel_returns_the_reference_matching(case):
     )
     ref_pair, _ref_pedge, ref_size = reference_hk(g, side, mask, **warm_args)
     ref_cover = reference_konig_cover(g, side, mask, ref_pair, strict=True)
-    cover, size = mvc_bipartite_on_mask(g, side, mask, init_pair, init_pedge)
+    # the warm start is a maximum matching of `warm`, so it is BipartiteBase's own
+    _pair, _pedge, size, cover = BipartiteBase(g, side, warm).solve(mask & ~warm)
     assert size == ref_size
     assert np.array_equal(cover, ref_cover)
     assert np.array_equal(konig_cover_from_pairs(g, side, mask, ref_pair), ref_cover)
+    cold_pair, _cold_pedge, cold_size = reference_hk(g, side, mask)
+    cold_cover, size = mvc_bipartite_on_mask(g, side, mask)
+    assert size == cold_size
+    assert np.array_equal(cold_cover, reference_konig_cover(g, side, mask, cold_pair))
+
+
+@st.composite
+def half_stochastic_cases(draw):
+    """A bipartite graph, a side array, a query set Q and a realization inside Q."""
+    g = draw(bipartite_graphs(max_left=7, max_right=7, max_edges=30))
+    side = np.array(_sides(g).side)  # a writable copy, as a caller might pass
+    if draw(st.booleans()):
+        side = 1 - side  # the other orientation
+    bits = st.lists(st.booleans(), min_size=g.m, max_size=g.m)
+    queried = np.array(
+        draw(st.one_of(st.just([False] * g.m), st.just([True] * g.m), bits)), dtype=bool
+    )
+    realized = queried & np.array(draw(bits), dtype=bool)
+    return g, side, queried, realized
+
+
+@given(half_stochastic_cases())
+@settings(max_examples=150)
+def test_prebuilt_s_gives_the_reference_cover(case):
+    # S's adjacency plus the realized edges must be the adjacency of
+    # S | realized list for list, so the warm-started matching and the
+    # Konig cover are the ones the reference computes on that union
+    g, side, queried, realized = case
+    s_mask = ~queried
+    union = s_mask | realized
+    warm_pair, warm_pedge, _size = reference_hk(g, side, s_mask)
+    ref = reference_hk(g, side, union, init_pair=warm_pair, init_pair_edge=warm_pedge)
+    ref_cover = reference_konig_cover(g, side, union, ref[0], strict=True)
+    base = BipartiteBase(g, side, s_mask)
+    grown = base.adj.plus(g, side, np.flatnonzero(realized).tolist())
+    built = _Adjacency(g, side, np.flatnonzero(union).tolist())
+    for attr in ("nbr", "eid", "active", "lefts"):
+        assert getattr(grown, attr) == getattr(built, attr)
+    pair, pedge, size, cover = base.solve(realized)
+    assert (pair, pedge, size) == ref
+    assert np.array_equal(cover, ref_cover)
+    # and the half-stochastic responder answers with it, on the graph's own sides
+    own = _sides(g).side
+    warm_pair, warm_pedge, _size = reference_hk(g, own, s_mask)
+    own_ref = reference_hk(g, own, union, init_pair=warm_pair, init_pair_edge=warm_pedge)
+    plan = _half_stochastic_plan("random_query_baseline", g, StrategyParams(p=0.5), queried)
+    answer = respond_strategy(plan, realized[plan.queried_indices])
+    assert np.array_equal(answer.cover, reference_konig_cover(g, own, union, own_ref[0]))
 
 
 @given(general_graphs())
