@@ -250,34 +250,18 @@ def _konig(adj: _Adjacency, pair: Sequence[int], n: int, strict: bool) -> np.nda
     return cover
 
 
-def _start_pairs(
-    n: int, init_pair: Optional[Sequence[int]], init_pair_edge: Optional[Sequence[int]]
-) -> tuple[list[int], list[int]]:
-    if init_pair is None:
-        return [-1] * n, [-1] * n
-    return list(init_pair), list(init_pair_edge)  # type: ignore[arg-type]
-
-
 def hk_on_mask(
-    graph: Graph,
-    side: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    init_pair: Optional[Sequence[int]] = None,
-    init_pair_edge: Optional[Sequence[int]] = None,
-    edge_indices: Optional[Sequence[int]] = None,
+    graph: Graph, side: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> tuple[list[int], list[int], int]:
-    """Maximum matching of the subgraph selected by `mask`.
+    """Maximum matching of the subgraph selected by `mask`, from a cold start.
 
     Returns (pair, pair_edge, size): pair[v] is the matched partner or -1,
-    pair_edge[v] the matched edge index or -1.  `init_pair`/`init_pair_edge`
-    warm-start from a matching known to live inside the mask (the caller's
-    contract); they are not modified.  `edge_indices`, when given, overrides
-    the mask and fixes the adjacency (tie-breaking) order.
+    pair_edge[v] the matched edge index or -1.  `BipartiteBase` is the
+    warm-started form.
     """
-    if edge_indices is None:
-        edge_indices = _mask_edges(graph, mask)
-    adj = _Adjacency(graph, side, edge_indices)
-    pair, pedge = _start_pairs(graph.n, init_pair, init_pair_edge)
+    adj = _Adjacency(graph, side, _mask_edges(graph, mask))
+    pair = [-1] * graph.n
+    pedge = [-1] * graph.n
     size = _hopcroft_karp(adj, pair, pedge)
     return pair, pedge, size
 
@@ -310,36 +294,55 @@ def mvc_bipartite_on_mask(
     `BipartiteBase` is the warm-started form.
     """
     adj = _Adjacency(graph, side, _mask_edges(graph, mask))
-    pair, pedge = _start_pairs(graph.n, None, None)
+    pair = [-1] * graph.n
+    pedge = [-1] * graph.n
     size = _hopcroft_karp(adj, pair, pedge)
     return _konig(adj, pair, graph.n, strict=True), size
 
 
 class BipartiteBase:
-    """A fixed edge set S of a bipartite graph, prepared for exact covers of S + X.
+    """A fixed edge set S of a bipartite graph, prepared for matchings of S + X.
 
-    Holds S's adjacency and a maximum matching of S, both built once.  Each
-    `solve` adds the edges of X to a copy of the adjacency, warm-starts
-    Hopcroft-Karp from S's matching, and extracts Konig's cover.  The
-    result equals `hk_on_mask` warm-started from S's matching on S | X,
-    followed by `konig_cover_from_pairs`, since the adjacency lists are the
-    same.  Instances are read-only after construction, so threads may share one.
+    Holds S's adjacency and a maximum matching of S (`pair`, `pedge`,
+    `size`), both built once.
+    `match` adds the edges of X to a copy of the adjacency (or reuses S's
+    own when X is empty) and warm-starts Hopcroft-Karp from S's matching;
+    `solve` adds Konig's cover.  The adjacency lists are those built from
+    S | X in increasing edge order, so the matching is the one a search over
+    that union, warm-started from S's matching, returns.  Instances are
+    read-only after construction, so threads may share one.
     """
 
     def __init__(self, graph: Graph, side: np.ndarray, s_mask: np.ndarray):
         self.graph = graph
         self.side = side
         self.adj = _Adjacency(graph, side, _mask_edges(graph, s_mask))
-        self.pair, self.pedge = _start_pairs(graph.n, None, None)
-        _hopcroft_karp(self.adj, self.pair, self.pedge)
+        self.pair = [-1] * graph.n
+        self.pedge = [-1] * graph.n
+        self.size = _hopcroft_karp(self.adj, self.pair, self.pedge)
+
+    def _match(self, extra_mask: np.ndarray) -> tuple[_Adjacency, list[int], list[int], int]:
+        # S's own adjacency when the mask is empty; callers only read it
+        extra = np.flatnonzero(extra_mask).tolist()
+        adj = self.adj.plus(self.graph, self.side, extra) if extra else self.adj
+        pair = list(self.pair)
+        pedge = list(self.pedge)
+        size = _hopcroft_karp(adj, pair, pedge)
+        return adj, pair, pedge, size
+
+    def match(self, extra_mask: np.ndarray) -> tuple[list[int], list[int], int]:
+        """(pair, pair_edge, size) of a maximum matching of S | extra_mask.
+
+        The mask must avoid S.  The search starts from S's matching, so
+        when that is already maximum on S | extra_mask it is returned as is.
+        """
+        _adj, pair, pedge, size = self._match(extra_mask)
+        return pair, pedge, size
 
     def solve(self, extra_mask: np.ndarray) -> tuple[list[int], list[int], int, np.ndarray]:
         """(pair, pair_edge, size, cover) of S | extra_mask; the mask must avoid S."""
-        g = self.graph
-        adj = self.adj.plus(g, self.side, np.flatnonzero(extra_mask).tolist())
-        pair, pedge = _start_pairs(g.n, self.pair, self.pedge)
-        size = _hopcroft_karp(adj, pair, pedge)
-        return pair, pedge, size, _konig(adj, pair, g.n, strict=True)
+        adj, pair, pedge, size = self._match(extra_mask)
+        return pair, pedge, size, _konig(adj, pair, self.graph.n, strict=True)
 
 
 # --- exact minimum vertex cover, general graphs -------------------------------

@@ -22,19 +22,27 @@ rebuilds the chain from there, at most MAX_SWAPS times per build.
 The objective being tracked is sum_e (q_e - epsilon * q_e^2): expected
 matching size minus a concentration penalty, which rewards spreading
 matching probability over many edges.
+
+A round prepares once what its draws share.  Draws come in blocks of rows
+from the counter-based streams (`rng.derive_seeds`, `rng.uniform_rows`),
+each row equal to the draw made alone.  Each component prepares its S once
+(an adjacency and a maximum matching that warm-starts every draw).  When
+that matching is also maximum on S | Q, as it always is with Q empty, it is
+every draw's answer, so such a round costs one matching whatever its sample
+count; a greedy component with Q empty likewise answers once.
 """
 from __future__ import annotations
 
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .graphs import EdgePartition, Graph, bipartition
-from .matching import greedy_matching_edges, hk_on_mask
+from .matching import BipartiteBase, greedy_matching_edges, hk_on_mask
 from . import rng
 
 __all__ = [
@@ -59,6 +67,9 @@ ROUTINE_BIPARTITE = "bipartite_max"
 ROUTINE_GREEDY = "greedy_maximal"
 
 MAX_SWAPS = 12  # cap on adopted replacements per build
+# cap on the edge cells (draws x edges) of one block of shared draws; larger
+# blocks buy little speed and their uint64 temporaries cost memory
+BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -164,40 +175,46 @@ def heavy_edges(
 
 
 class _ComponentRunner:
-    """Cached execution state for one policy component."""
+    """Execution state for one policy component, for one `_policy_draws` call.
+
+    On the bipartite routine, S is prepared once as a `BipartiteBase`: its
+    adjacency and a maximum matching of S, which warm-starts every draw's
+    Hopcroft-Karp on S plus the realized Q-edges.  When that matching is
+    also maximum on all of S | Q (always so with Q empty), it is maximum on
+    every draw's view, where the search returns it unchanged; it is then
+    the answer to every draw (`fixed`) and no draw is searched.  A greedy
+    component with Q empty sees the same edges on every draw, so it too
+    answers once.  Answers are tuples, so a shared answer cannot be mutated.
+    """
 
     def __init__(self, graph: Graph, side: Optional[np.ndarray], comp: PolicyComponent):
         self.graph = graph
-        self.side = side
-        self.comp = comp
         self.s_mask = comp.s_mask()
+        self.in_q = ~self.s_mask
         self.exclude = comp.exclude
-        self.warm_pair: Optional[list[int]] = None
-        self.warm_pedge: Optional[list[int]] = None
+        self.base: Optional[BipartiteBase] = None
+        self.fixed: Optional[tuple[int, ...]] = None
         if comp.routine == ROUTINE_BIPARTITE:
             if side is None:
                 raise StructuralError("bipartite routine on a graph with no sides")
-            pair, pedge, _ = hk_on_mask(graph, side, self.s_mask)
-            self.warm_pair = pair
-            self.warm_pedge = pedge
+            self.base = BipartiteBase(graph, side, self.s_mask)
+            if self.base.match(self.in_q)[2] == self.base.size:
+                self.fixed = self._output(self.base.pedge)
+        elif not self.in_q.any():
+            self.fixed = self._output(greedy_matching_edges(graph, range(graph.m)))
 
-    def run(self, sample_mask: np.ndarray) -> list[int]:
+    def _output(self, matched: Iterable[int]) -> tuple[int, ...]:
+        return tuple(sorted({e for e in matched if e >= 0} - self.exclude))
+
+    def run(self, sample_mask: np.ndarray) -> tuple[int, ...]:
         """Matched edge indices on this component's view of the shared draw."""
-        idx = np.nonzero(self.s_mask | sample_mask)[0].tolist()
-        if self.comp.routine == ROUTINE_BIPARTITE:
-            _pair, pedge, _size = hk_on_mask(
-                self.graph,
-                self.side,  # type: ignore[arg-type]
-                edge_indices=idx,
-                init_pair=self.warm_pair,
-                init_pair_edge=self.warm_pedge,
-            )
-            lefts_edges = {e for e in pedge if e >= 0}
-        else:
-            lefts_edges = set(greedy_matching_edges(self.graph, idx))
-        if self.exclude:
-            lefts_edges -= self.exclude
-        return sorted(lefts_edges)
+        if self.fixed is not None:
+            return self.fixed
+        realized = sample_mask & self.in_q
+        if self.base is not None:
+            return self._output(self.base.match(realized)[1])
+        idx = np.flatnonzero(self.s_mask | realized).tolist()
+        return self._output(greedy_matching_edges(self.graph, idx))
 
 
 def _policy_draws(
@@ -207,23 +224,28 @@ def _policy_draws(
     p: float,
     t: int,
     seed: int,
-) -> Iterator[tuple[np.ndarray, list[int]]]:
+) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
     """For each of t shared draws, the draw and the policy's matched edges.
 
     Each draw realizes every edge independently with probability p.  One
     component is picked per draw according to the mixture weights, and it
-    interprets the draw through its own queried mask.
+    interprets the draw through its own queried mask.  Draws are made in
+    blocks of at most BLOCK_CELLS edge cells; draw s is the one the
+    counter-based streams give for counter s, whatever the block size.
     """
     runners = [_ComponentRunner(graph, side, c) for _w, c in policy.components]
     cum = np.cumsum([w for w, _c in policy.components])
-    for s in range(t):
-        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_SAMPLE, s), graph.m, p)
+    rows = max(1, BLOCK_CELLS // max(graph.m, 1))
+    for start in range(0, t, rows):
+        stop = min(t, start + rows)
+        block = rng.uniform_rows(rng.derive_seeds(seed, _TAG_SAMPLE, start, stop), graph.m) < p
         if len(runners) == 1:
-            runner = runners[0]
+            picks = [0] * (stop - start)
         else:
-            u = rng.uniform_at(rng.derive_seed(seed, _TAG_COMPONENT, s), 0)
-            runner = runners[int(np.searchsorted(cum, u, side="right"))]
-        yield mask, runner.run(mask)
+            u = rng.uniform_rows(rng.derive_seeds(seed, _TAG_COMPONENT, start, stop), 1)[:, 0]
+            picks = np.searchsorted(cum, u, side="right").tolist()
+        for mask, k in zip(block, picks):
+            yield mask, runners[k].run(mask)
 
 
 def _side_for(graph: Graph, policy: MatchingPolicy) -> Optional[np.ndarray]:
@@ -254,11 +276,11 @@ def estimate_marginals(
         raise ParameterError("sample count must be positive")
     if graph.m == 0:
         return np.zeros(0, dtype=np.float64)
-    counts = np.zeros(graph.m, dtype=np.int64)
+    counts = [0] * graph.m
     for _mask, matched in _policy_draws(policy, graph, _side_for(graph, policy), p, t, seed):
-        if matched:
-            counts[matched] += 1
-    return counts / float(t)
+        for e in matched:
+            counts[e] += 1
+    return np.array(counts, dtype=np.int64) / float(t)
 
 
 def _mu_hat(graph: Graph, side: Optional[np.ndarray]) -> float:

@@ -22,7 +22,9 @@ __all__ = [
     "MASK64",
     "mix64",
     "derive_seed",
+    "derive_seeds",
     "uniforms",
+    "uniform_rows",
     "uniform_at",
     "bernoulli_mask",
     "sample_without_replacement",
@@ -60,6 +62,23 @@ def derive_seed(seed: int, *parts: int) -> int:
     return h
 
 
+def _mix64_vec(z: np.ndarray) -> np.ndarray:
+    """`mix64` on a uint64 array; numpy's uint64 arithmetic wraps mod 2^64."""
+    z = (z ^ (z >> np.uint64(30))) * _U_MUL1
+    z = (z ^ (z >> np.uint64(27))) * _U_MUL2
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_seeds(seed: int, tag: int, start: int, stop: int) -> np.ndarray:
+    """uint64 array of derive_seed(seed, tag, s) for s in [start, stop).
+
+    Vector twin of `derive_seed` for one trailing counter label.
+    """
+    h = np.uint64(derive_seed(seed, tag))
+    s = np.arange(start, stop, dtype=np.uint64)
+    return _mix64_vec(h ^ _mix64_vec(s + _U_GAMMA))
+
+
 def uniform_at(seed: int, index: int) -> float:
     """The uniform [0,1) draw for counter `index` under `seed`.
 
@@ -71,13 +90,16 @@ def uniform_at(seed: int, index: int) -> float:
 
 def uniforms(seed: int, count: int) -> np.ndarray:
     """Vector of uniform [0,1) draws for counters 0..count-1."""
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
+    return uniform_rows(np.uint64(seed & MASK64), count)
+
+
+def uniform_rows(seeds: np.ndarray, count: int) -> np.ndarray:
+    """(len(seeds), count) matrix whose row r is uniforms(seeds[r], count).
+
+    A scalar seed gives the single row, as a vector.
+    """
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * _U_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _U_MUL1
-    z = (z ^ (z >> np.uint64(27))) * _U_MUL2
-    z = z ^ (z >> np.uint64(31))
+    z = _mix64_vec(np.asarray(seeds, dtype=np.uint64)[..., None] + idx * _U_GAMMA)
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 

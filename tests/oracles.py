@@ -19,6 +19,11 @@ production plan must match them bit for bit (committed set, queried set and
 residual budgets) and the production cover must be identical, because every
 `general_vc` row of a CSV depends on both.
 
+`reference_policy_draws` and `reference_estimate_marginals` are the
+package's earlier partition round: one draw, one fresh warm-started
+matching per draw.  The block-drawn round must yield the same draws and
+matchings and bitwise the same marginals.
+
 `policy_matching_sizes` and `conditional_match_probs` are Monte-Carlo
 yardsticks for the partition policy and for the exact proposal rows; they
 drive the package's own policies and base matchers on fresh draws.
@@ -38,7 +43,13 @@ from stochcover import rng
 from stochcover.errors import ParameterError, StructuralError
 from stochcover.graphs import EdgePartition, Graph, bipartition
 from stochcover.matching import hk_on_mask
-from stochcover.partition import MatchingPolicy, _policy_draws
+from stochcover.partition import (
+    ROUTINE_BIPARTITE,
+    _TAG_COMPONENT,
+    _TAG_SAMPLE,
+    MatchingPolicy,
+    _policy_draws,
+)
 from stochcover.vim import EdgeStatusProfile, ProposalRow, run_base_matcher
 
 _TAG_COND = 21
@@ -358,6 +369,71 @@ def reference_konig_cover(
                 "input matching was not maximum"
             )
     return cover
+
+
+# --- the earlier per-draw partition round, kept verbatim ---------------------
+
+
+def _reference_greedy(graph: Graph, order: Sequence[int]) -> list[int]:
+    used = [False] * graph.n
+    picked = []
+    for e in order:
+        u, v = graph.edges[e]
+        if not used[u] and not used[v]:
+            used[u] = used[v] = True
+            picked.append(e)
+    return picked
+
+
+def reference_policy_draws(
+    policy: MatchingPolicy,
+    graph: Graph,
+    side: Optional[np.ndarray],
+    p: float,
+    t: int,
+    seed: int,
+):
+    """(draw, matched edges) for each of t draws, one draw and one matching at a time.
+
+    Each draw is its own `rng.bernoulli_mask`; the picked component matches
+    S plus the draw from scratch, warm-started from a maximum matching of
+    its S (or greedily in edge order), and drops its excluded edges.
+    """
+    warm = []
+    for _w, comp in policy.components:
+        s_mask = ~np.asarray(comp.in_q, dtype=bool)
+        warm.append(reference_hk(graph, side, s_mask) if comp.routine == ROUTINE_BIPARTITE else None)
+    cum = np.cumsum([w for w, _c in policy.components])
+    for s in range(t):
+        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_SAMPLE, s), graph.m, p)
+        k = 0
+        if len(policy.components) > 1:
+            u = rng.uniform_at(rng.derive_seed(seed, _TAG_COMPONENT, s), 0)
+            k = int(np.searchsorted(cum, u, side="right"))
+        comp = policy.components[k][1]
+        idx = np.nonzero(~np.asarray(comp.in_q, dtype=bool) | mask)[0].tolist()
+        if warm[k] is not None:
+            pair, pedge, _size = warm[k]
+            _p, out, _sz = reference_hk(
+                graph, side, edge_indices=idx, init_pair=pair, init_pair_edge=pedge
+            )
+            matched = {e for e in out if e >= 0}
+        else:
+            matched = set(_reference_greedy(graph, idx))
+        yield mask, sorted(matched - comp.exclude)
+
+
+def reference_estimate_marginals(
+    policy: MatchingPolicy, graph: Graph, p: float, t: int, seed: int
+) -> np.ndarray:
+    """Per-edge matching frequencies over `reference_policy_draws`."""
+    sides = bipartition(graph)
+    side = sides.side if sides is not None else None
+    counts = np.zeros(graph.m, dtype=np.int64)
+    for _mask, matched in reference_policy_draws(policy, graph, side, p, t, seed):
+        if matched:
+            counts[matched] += 1
+    return counts / float(t)
 
 
 # --- the earlier water-filling plan and cover, kept verbatim ------------------

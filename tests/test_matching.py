@@ -90,8 +90,7 @@ def test_warm_start_reaches_same_size(g):
     # warm-start from the matching of the first half of the edges
     half = np.zeros(g.m, dtype=bool)
     half[: g.m // 2] = True
-    pair, pedge, _ = hk_on_mask(g, sides.side, half)
-    _p2, _pe2, warm_size = hk_on_mask(g, sides.side, None, init_pair=pair, init_pair_edge=pedge)
+    _p2, _pe2, warm_size = BipartiteBase(g, sides.side, half).match(~half)
     _p3, _pe3, cold_size = hk_on_mask(g, sides.side, None)
     assert warm_size == cold_size
 
@@ -132,13 +131,13 @@ def test_hk_deep_augmenting_path_keeps_recursion_limit():
     k = 3000
     n = 2 * k + 2
     g = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
-    pair = [-1] * n
-    pedge = [-1] * n
-    for e in range(1, n - 2, 2):
-        pair[e], pair[e + 1] = e + 1, e
-        pedge[e] = pedge[e + 1] = e
+    shifted = np.zeros(g.m, dtype=bool)
+    shifted[1 : n - 2 : 2] = True
     limit = sys.getrecursionlimit()
-    _pair, out_pedge, size = hk_on_mask(g, _sides(g).side, None, pair, pedge)
+    # S is the shifted matching, whose maximum matching is itself
+    base = BipartiteBase(g, _sides(g).side, shifted)
+    assert sorted({e for e in base.pedge if e >= 0}) == list(range(1, n - 2, 2))
+    _pair, out_pedge, size = base.match(~shifted)
     assert size == k + 1
     assert sorted({e for e in out_pedge if e >= 0}) == list(range(0, n - 1, 2))
     assert sys.getrecursionlimit() == limit
@@ -146,16 +145,14 @@ def test_hk_deep_augmenting_path_keeps_recursion_limit():
 
 @st.composite
 def warm_started_masks(draw):
-    """A bipartite graph, a side array, a mask, a warm start inside the mask,
-    and a permutation of the mask's edges."""
+    """A bipartite graph, a side array, a mask and a warm start inside the mask."""
     g = draw(bipartite_graphs(max_left=7, max_right=7, max_edges=30))
     side = np.array(_sides(g).side)  # a writable copy, as a caller might pass
     if draw(st.booleans()):
         side = 1 - side  # the other orientation
     mask = np.array(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
     warm = mask & np.array(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
-    order = draw(st.permutations(np.nonzero(mask)[0].tolist()))
-    return g, side, mask, warm, order
+    return g, side, mask, warm
 
 
 @given(warm_started_masks())
@@ -163,18 +160,18 @@ def warm_started_masks(draw):
 def test_kernel_returns_the_reference_matching(case):
     # not just a maximum matching: the same one the earlier recursive kernel
     # returns, since partition marginals and mc_matching's queries depend on it
-    g, side, mask, warm, order = case
+    g, side, mask, warm = case
     assert hk_on_mask(g, side, mask) == reference_hk(g, side, mask)
     init_pair, init_pedge, _ = reference_hk(g, side, warm)
     warm_args = dict(init_pair=init_pair, init_pair_edge=init_pedge)
-    assert hk_on_mask(g, side, mask, **warm_args) == reference_hk(g, side, mask, **warm_args)
-    assert hk_on_mask(g, side, edge_indices=order, **warm_args) == reference_hk(
-        g, side, edge_indices=order, **warm_args
-    )
-    ref_pair, _ref_pedge, ref_size = reference_hk(g, side, mask, **warm_args)
-    ref_cover = reference_konig_cover(g, side, mask, ref_pair, strict=True)
     # the warm start is a maximum matching of `warm`, so it is BipartiteBase's own
-    _pair, _pedge, size, cover = BipartiteBase(g, side, warm).solve(mask & ~warm)
+    base = BipartiteBase(g, side, warm)
+    assert (base.pair, base.pedge) == (init_pair, init_pedge)
+    ref = reference_hk(g, side, mask, **warm_args)
+    assert base.match(mask & ~warm) == ref
+    ref_pair, _ref_pedge, ref_size = ref
+    ref_cover = reference_konig_cover(g, side, mask, ref_pair, strict=True)
+    _pair, _pedge, size, cover = base.solve(mask & ~warm)
     assert size == ref_size
     assert np.array_equal(cover, ref_cover)
     assert np.array_equal(konig_cover_from_pairs(g, side, mask, ref_pair), ref_cover)

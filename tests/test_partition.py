@@ -1,13 +1,25 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import brute_max_matching, policy_matching_sizes
+from oracles import (
+    brute_max_matching,
+    policy_matching_sizes,
+    reference_estimate_marginals,
+    reference_policy_draws,
+)
+from stochcover import partition as partition_module, rng
 from stochcover.errors import ParameterError, StructuralError
-from stochcover.graphs import EdgePartition, Graph
-from stochcover.instances import gen_er_bipartite, gen_perfect_matching
+from stochcover.graphs import EdgePartition, Graph, bipartition
+from stochcover.instances import gen_er, gen_er_bipartite, gen_perfect_matching
 from stochcover.partition import (
+    BLOCK_CELLS,
+    ROUTINE_BIPARTITE,
+    ROUTINE_GREEDY,
     MatchingPolicy,
     PartitionConfig,
     PolicyComponent,
@@ -15,6 +27,7 @@ from stochcover.partition import (
     estimate_marginals,
     heavy_edges,
     heavy_threshold,
+    _policy_draws,
     outcome_from_text,
     outcome_to_text,
     policy_objective,
@@ -265,3 +278,106 @@ def test_serialization_rejects_a_filled_reserved_field():
     lines[k] = " ".join(fields)
     with pytest.raises(StructuralError):
         outcome_from_text("".join(lines), g)
+
+
+# --- the block-drawn round against the per-draw reference ----------------------
+
+
+@st.composite
+def mixture_policies(draw, graph, routine):
+    """1-3 components, each with Q empty, full or random and a random exclude."""
+    m = graph.m
+    bits = st.lists(st.booleans(), min_size=m, max_size=m)
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        in_q = draw(st.one_of(st.just([False] * m), st.just([True] * m), bits))
+        exclude = draw(st.sets(st.integers(0, m - 1), max_size=3))
+        comps.append(PolicyComponent(in_q=tuple(in_q), routine=routine, exclude=frozenset(exclude)))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(comps), max_size=len(comps)))
+    weights = [r / sum(raw) for r in raw]
+    return MatchingPolicy(graph, tuple(zip(weights, comps)))
+
+
+@st.composite
+def round_cases(draw):
+    nl = draw(st.integers(1, 6))
+    nr = draw(st.integers(1, 6))
+    possible = [(u, nl + v) for u in range(nl) for v in range(nr)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, min_size=1, max_size=24))
+    g = Graph(nl + nr, tuple(edges), bipartite_hint=nl)
+    policy = draw(mixture_policies(g, ROUTINE_BIPARTITE))
+    p = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    # draws per block: the real constant's, or a small count so that t spans
+    # several blocks and usually ends in a partial one
+    rows = draw(st.one_of(st.just(max(1, BLOCK_CELLS // g.m)), st.integers(1, 40)))
+    t = draw(st.integers(1, 300))
+    return g, policy, p, rows, t, draw(st.integers(0, 2**64 - 1))
+
+
+def _assert_round_matches_reference(g, policy, p, rows, t, seed):
+    part = EdgePartition(g, np.zeros(g.m, dtype=bool))
+    sides = bipartition(g)
+    side = sides.side if sides is not None else None
+    with mock.patch.object(partition_module, "BLOCK_CELLS", rows * g.m):
+        got = [(mask.tolist(), list(matched)) for mask, matched in _policy_draws(policy, g, side, p, t, seed)]
+        q = estimate_marginals(policy, part, g, p, t, seed)
+    ref = [(mask.tolist(), matched) for mask, matched in reference_policy_draws(policy, g, side, p, t, seed)]
+    assert got == ref
+    assert np.array_equal(q, reference_estimate_marginals(policy, g, p, t, seed))
+
+
+@given(round_cases())
+@settings(max_examples=80)
+def test_round_matches_the_per_draw_reference(case):
+    # same draws, same matchings and bitwise the same marginals as one
+    # bernoulli_mask and one fresh warm-started matching per draw
+    _assert_round_matches_reference(*case)
+
+
+def test_round_matches_the_reference_across_real_blocks():
+    # several blocks at the real block size, ending in a partial one
+    g = gen_er_bipartite(30, 30, 0.2, seed=7).graph
+    rows = BLOCK_CELLS // g.m
+    in_q = rng.bernoulli_mask(3, g.m, 0.5)
+    comps = (
+        (0.25, PolicyComponent(in_q=(False,) * g.m)),
+        (0.75, PolicyComponent(in_q=tuple(bool(b) for b in in_q), exclude=frozenset({4, 9}))),
+    )
+    t = 2 * rows + rows // 2
+    _assert_round_matches_reference(g, MatchingPolicy(g, comps), 0.3, rows, t, seed=17)
+
+
+@given(st.data())
+@settings(max_examples=20)
+def test_greedy_round_matches_the_per_draw_reference(data):
+    g = gen_er(14, 0.3, seed=5).graph
+    assert bipartition(g) is None
+    policy = data.draw(mixture_policies(g, ROUTINE_GREEDY))
+    p = data.draw(st.sampled_from([0.05, 0.3, 1.0]))
+    rows = data.draw(st.integers(1, 40))
+    t = data.draw(st.integers(1, 200))
+    _assert_round_matches_reference(g, policy, p, rows, t, data.draw(st.integers(0, 2**64 - 1)))
+
+
+# Peak bytes traced during one 2,000-draw round on erb(30,30,0.2) at p=0.3:
+# the block of draws and its uint64 temporaries, one draw's matching and the
+# counts.  Measured with 8,192-cell blocks: 222 KiB with Q empty, 219 KiB
+# with 95 of 172 edges in Q and 241 KiB with 162.  The bound is the largest
+# plus 25%.  65,536-cell blocks read 1,623-1,641 KiB on the same rounds.
+ROUND_PEAK_BYTES = 302 * 1024
+
+
+@pytest.mark.parametrize("q_share", [0.0, 0.5, 0.97])
+def test_round_memory_stays_bounded(q_share):
+    g = gen_er_bipartite(30, 30, 0.2, seed=7).graph
+    in_q = rng.bernoulli_mask(5, g.m, q_share)
+    part = EdgePartition(g, in_q)
+    policy = MatchingPolicy(g, ((1.0, PolicyComponent(in_q=tuple(bool(b) for b in in_q))),))
+    bipartition(g)  # the graph's cached sides are not part of the round
+    tracemalloc.start()
+    try:
+        estimate_marginals(policy, part, g, 0.3, 2000, seed=11)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ROUND_PEAK_BYTES

@@ -63,3 +63,28 @@ def test_streams_are_stable_across_calls():
     # relied on by every frozen expectation in the suite
     assert rng.uniform_at(0, 0) == rng.uniform_at(0, 0)
     assert rng.bernoulli_mask(5, 10, 0.5).tolist() == rng.bernoulli_mask(5, 10, 0.5).tolist()
+
+
+# seeds 0, 1 and 2^64 - 1, plus one drawn 64-bit seed
+_EDGE_SEEDS = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@given(_EDGE_SEEDS, st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.sampled_from([1, 5, 9000]))
+def test_derive_seeds_match_scalar_path(seed, tag, start, count):
+    vec = rng.derive_seeds(seed, tag, start, start + count)
+    assert vec.dtype == np.uint64
+    assert vec.tolist() == [rng.derive_seed(seed, tag, s) for s in range(start, start + count)]
+
+
+@given(_EDGE_SEEDS, st.integers(0, 10**6), st.sampled_from([1, 3, 40]), st.sampled_from([1, 7, 250]),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_uniform_rows_match_scalar_path(seed, start, rows, count, p):
+    # rows x count spans 1 cell up to more than one 8,192-cell block
+    seeds = rng.derive_seeds(seed, 11, start, start + rows)
+    block = rng.uniform_rows(seeds, count)
+    assert block.shape == (rows, count)
+    for r, s in enumerate(seeds.tolist()):
+        assert np.array_equal(block[r], rng.uniforms(s, count))
+        # the block draw of partition rounds
+        assert np.array_equal(block[r] < p, rng.bernoulli_mask(s, count, p))
+    assert block[:, 0].tolist() == [rng.uniform_at(s, 0) for s in seeds.tolist()]
