@@ -167,8 +167,9 @@ class _OptimumSolver:
 
         On a bipartite graph one exact cover gives both, since nu = mu
         there (Konig's theorem).  Otherwise mu is out of reach, and nu comes
-        from branch and bound until it first exceeds GENERAL_OPT_BUDGET
-        active vertices.
+        from the exact general cover (reductions, then branch and bound on
+        the kernel) until a mask first exceeds GENERAL_OPT_BUDGET active
+        vertices.
         """
         if self.side is not None:
             size = exact_cover_on_mask(self.graph, mask)[1]

@@ -21,7 +21,9 @@ event; the plan reads its death times, which must stay bit-identical to
 the earlier implementation's, since committing compares capped sums
 against 1 exactly.  `saturated_on_mask` keeps each slack lazily in a heap
 of projected death times, in O((n + m) log n), and returns the saturated
-set alone, which is all a response needs.
+set alone, which is all a response needs.  It works on Python lists
+throughout (budgets, adjacency, saturation) and converts its result to
+numpy once, at the end.
 
 The cover construction built on top: run the process once on the full graph
 with unit budgets, cap every edge value at a small time t, commit the
@@ -63,11 +65,15 @@ class GeneralVcPlan:
     residual_budget: np.ndarray  # per vertex, 1 - capped sum
 
 
-def _as_budgets(graph: Graph, budgets: Union[float, np.ndarray]) -> np.ndarray:
-    b = np.broadcast_to(np.asarray(budgets, dtype=np.float64), (graph.n,)).copy()
-    if np.any(b < 0.0) or np.any(b > 1.0):
+def _budget_list(graph: Graph, budgets: Union[float, np.ndarray]) -> list[float]:
+    """Per-vertex budgets as a Python list, each checked to lie in [0, 1]."""
+    b = np.asarray(budgets, dtype=np.float64)
+    if b.shape != (graph.n,):
+        b = np.broadcast_to(b, (graph.n,))
+    out = b.tolist()
+    if out and not (0.0 <= min(out) and max(out) <= 1.0):
         raise ParameterError("budgets must lie in [0, 1]")
-    return b
+    return out
 
 
 def filling_on_mask(
@@ -78,7 +84,7 @@ def filling_on_mask(
     Returns (death, saturated), both indexed by vertex.
     """
     n = graph.n
-    slack = _as_budgets(graph, budgets)
+    slack = np.array(_budget_list(graph, budgets))
     emask = np.asarray(mask, dtype=bool)
     if emask.shape != (graph.m,):
         raise StructuralError("edge mask has wrong length")
@@ -141,7 +147,7 @@ def saturated_on_mask(
     slack at T is within SATURATION_TOL; the others go back.
     """
     n = graph.n
-    slack = _as_budgets(graph, budgets).tolist()
+    slack = _budget_list(graph, budgets)
     emask = np.asarray(mask, dtype=bool)
     if emask.shape != (graph.m,):
         raise StructuralError("edge mask has wrong length")
@@ -153,11 +159,12 @@ def saturated_on_mask(
     deg = [len(row) for row in nbrs]
     t0 = [0.0] * n
     alive = [True] * n
-    saturated = np.zeros(n, dtype=bool)
+    saturated = [False] * n
 
     def kill(dying: list[int], now: float) -> None:
         for v in dying:
             alive[v] = False
+            saturated[v] = True
         # edges from a dead vertex stop growing: settle each neighbor's
         # slack at `now`, then lower its rate
         for v in dying:
@@ -166,7 +173,6 @@ def saturated_on_mask(
                     slack[w] -= deg[w] * (now - t0[w])
                     t0[w] = now
                     deg[w] -= 1
-        saturated[dying] = True
 
     # zero budgets saturate immediately
     kill([v for v in range(n) if slack[v] <= SATURATION_TOL], 0.0)
@@ -197,7 +203,7 @@ def saturated_on_mask(
             else:
                 heapq.heappush(heap, (t0[v] + slack[v] / d, v))
         kill(dying, now)
-    return saturated
+    return np.array(saturated, dtype=bool)
 
 
 def general_vc_plan(

@@ -6,17 +6,19 @@ on this for bit-reproducible experiments.
 
 The bipartite matcher is a layered augmenting-path search (Hopcroft-Karp).
 Minimum vertex cover on bipartite graphs comes from the matching via the
-alternating-reachability construction; on general graphs a branch-and-bound
-with degree-0/1 reductions handles desk-scale inputs.  There is deliberately
-no blossom algorithm here: nothing in the experiments needs maximum matching
-on large general graphs.
+alternating-reachability construction.  On general graphs the exact cover
+first applies the degree-0/1 rules to the whole mask with one worklist pass
+over list adjacencies, in O(n + m); what is left, the kernel, is usually
+empty or tiny, and each of its components goes to a branch and bound over
+neighbour bitmasks.  That handles desk-scale inputs, and a vertex budget
+refuses the rest.  There is deliberately no blossom algorithm here: nothing
+in the experiments needs maximum matching on large general graphs.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -348,111 +350,66 @@ class BipartiteBase:
 # --- exact minimum vertex cover, general graphs -------------------------------
 
 
-def _components(adj: dict[int, set[int]]) -> list[list[int]]:
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for root in sorted(adj):
-        if root in seen or not adj[root]:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, lowest first, each as a one-bit int."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
-def _greedy_matching_lb(adj: dict[int, set[int]]) -> int:
-    """Size of a greedy maximal matching: a lower bound on the cover size."""
-    used: set[int] = set()
-    size = 0
-    for u in sorted(adj):
-        if u in used or not adj[u]:
-            continue
-        for w in sorted(adj[u]):
-            if w not in used:
-                used.add(u)
-                used.add(w)
-                size += 1
-                break
-    return size
+def _branch_and_bound(nb: list[int]) -> int:
+    """Minimum vertex cover of a small graph given as neighbour bitmasks.
 
+    Vertex i's neighbours are the set bits of nb[i].  Returns the cover as
+    a bitmask.  Every node of the search first applies the degree-0/1
+    rules with a worklist, then bounds by a greedy maximal matching and
+    branches on a vertex of largest degree (lowest index on ties): either
+    it joins the cover or all its neighbours do.  Each branch removes at
+    least one vertex, so the recursion is at most len(nb) deep.
+    """
+    everything = (1 << len(nb)) - 1
+    best_cover, best_size = everything, len(nb)  # every vertex: a cover
 
-def _reduce(adj: dict[int, set[int]], cover: set[int]) -> None:
-    """Apply degree-0/1 reductions in place."""
-    again = True
-    while again:
-        again = False
-        for v in sorted(adj):
-            nbrs = adj.get(v)
-            if nbrs is None:
+    def search(live: int, chosen: int, size: int) -> None:
+        nonlocal best_cover, best_size
+        work = list(_bits(live))
+        while work:
+            low = work.pop()
+            if not live & low:
                 continue
-            if not nbrs:
-                del adj[v]
-            elif len(nbrs) == 1:
-                (u,) = nbrs
-                cover.add(u)
-                for w in list(adj[u]):
-                    adj[w].discard(u)
-                del adj[u]
-                again = True
-
-
-def _bb_component(adj: dict[int, set[int]]) -> set[int]:
-    """Branch and bound on one connected component.  Returns an optimal cover."""
-    base: set[int] = set()
-    _reduce(adj, base)
-    if not adj:
-        return base
-
-    # greedy max-degree incumbent
-    g2 = {v: set(ns) for v, ns in adj.items()}
-    incumbent = set(base)
-    while any(g2.values()):
-        v = max(sorted(g2), key=lambda x: len(g2[x]))
-        incumbent.add(v)
-        for w in list(g2[v]):
-            g2[w].discard(v)
-        del g2[v]
-    best = [incumbent]
-
-    def recurse(cur: dict[int, set[int]], chosen: set[int]) -> None:
-        local = {v: set(ns) for v, ns in cur.items()}
-        picked = set(chosen)
-        _reduce(local, picked)
-        local = {v: ns for v, ns in local.items() if ns}
-        if not local:
-            if len(picked) < len(best[0]):
-                best[0] = picked
+            adj = nb[low.bit_length() - 1] & live
+            if not adj:
+                live ^= low
+            elif not adj & (adj - 1):  # one neighbour: it joins the cover
+                chosen |= adj
+                size += 1
+                live &= ~(adj | low)
+                work.extend(_bits(nb[adj.bit_length() - 1] & live))
+        if not live:
+            if size < best_size:
+                best_cover, best_size = chosen, size
             return
-        if len(picked) + _greedy_matching_lb(local) >= len(best[0]):
+        bound = size
+        top = top_deg = 0
+        free = live
+        for low in _bits(live):
+            adj = nb[low.bit_length() - 1] & live
+            d = adj.bit_count()
+            if d > top_deg:
+                top, top_deg = low, d
+            mates = adj & free
+            if free & low and mates:
+                free ^= low | (mates & -mates)  # matched to its lowest free neighbour
+                bound += 1
+        if bound >= best_size:
             return
-        v = max(sorted(local), key=lambda x: len(local[x]))
-        nbrs = sorted(local[v])
-        # branch 1: v in the cover
-        b1 = {u: set(ns) for u, ns in local.items()}
-        for w in b1[v]:
-            b1[w].discard(v)
-        del b1[v]
-        recurse(b1, picked | {v})
-        # branch 2: v excluded, so all its neighbors are in
-        b2 = {u: set(ns) for u, ns in local.items()}
-        add = set(nbrs)
-        for u in nbrs:
-            for w in b2[u]:
-                b2[w].discard(u)
-            del b2[u]
-        b2.pop(v, None)
-        recurse(b2, picked | add)
+        search(live ^ top, chosen | top, size + 1)
+        adj = nb[top.bit_length() - 1] & live
+        search(live & ~(adj | top), chosen | adj, size + top_deg)
 
-    recurse(adj, base)
-    return best[0]
+    search(everything, 0, 0)
+    return best_cover
 
 
 def mvc_general_on_mask(
@@ -460,26 +417,74 @@ def mvc_general_on_mask(
 ) -> tuple[np.ndarray, int]:
     """Exact minimum vertex cover of a masked general graph.
 
-    The budget counts non-isolated vertices under the mask; above it the
-    branch and bound is refused rather than left to run unbounded.
+    The budget counts non-isolated vertices under the mask, before any
+    reduction; above it the search is refused rather than left to run
+    unbounded.  One worklist pass applies the degree-0/1 rules to the whole
+    mask in O(n + m): a degree-1 vertex puts its one live neighbour in the
+    cover.  What is left, the kernel, has minimum degree 2 and is usually
+    empty or tiny; each of its components goes to `_branch_and_bound`.
     """
-    adj: dict[int, set[int]] = {}
-    for e in _mask_edges(graph, mask):
-        u, v = graph.edges[e]
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    if len(adj) > budget_vertices:
+    n = graph.n
+    if mask is None:
+        us, vs = graph.edge_u.tolist(), graph.edge_v.tolist()
+    else:
+        idx = np.flatnonzero(np.asarray(mask, dtype=bool))
+        us, vs = graph.edge_u[idx].tolist(), graph.edge_v[idx].tolist()
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = [len(row) for row in nbrs]
+    active = n - deg.count(0)
+    if active > budget_vertices:
         raise CapacityError(
-            f"exact vertex cover refused: {len(adj)} active vertices "
+            f"exact vertex cover refused: {active} active vertices "
             f"exceeds budget {budget_vertices}"
         )
-    cover: set[int] = set()
-    for comp in _components(adj):
-        sub = {v: set(adj[v]) for v in comp}
-        cover |= _bb_component(sub)
-    out = np.zeros(graph.n, dtype=bool)
-    if cover:
-        out[sorted(cover)] = True
+    live = [d > 0 for d in deg]
+    cover: list[int] = []
+    work = [v for v in range(n) if deg[v] == 1]
+    while work:
+        v = work.pop()
+        if not live[v]:
+            continue
+        for u in nbrs[v]:
+            if live[u]:
+                break
+        # u, v's one live neighbour, joins the cover; v is left isolated
+        cover.append(u)
+        live[u] = False
+        for w in nbrs[u]:
+            if live[w]:
+                d = deg[w] - 1
+                deg[w] = d
+                if d == 1:
+                    work.append(w)
+                elif not d:
+                    live[w] = False
+    for root in range(n):
+        if not live[root]:
+            continue
+        comp = [root]
+        live[root] = False
+        for u in comp:  # breadth first: the loop also visits appended vertices
+            for w in nbrs[u]:
+                if live[w]:
+                    live[w] = False
+                    comp.append(w)
+        local = {v: i for i, v in enumerate(comp)}
+        nb = []
+        for v in comp:
+            bits = 0
+            for w in nbrs[v]:
+                i = local.get(w)
+                if i is not None:
+                    bits |= 1 << i
+            nb.append(bits)
+        chosen = _branch_and_bound(nb)
+        cover.extend(v for i, v in enumerate(comp) if chosen >> i & 1)
+    out = np.zeros(n, dtype=bool)
+    out[cover] = True
     return out, len(cover)
 
 

@@ -146,8 +146,9 @@ def _require_bipartite(graph: Graph, strategy: str) -> np.ndarray:
 def exact_cover_on_mask(graph: Graph, mask: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact minimum vertex cover of the edges selected by `mask`, and its size.
 
-    Hopcroft-Karp and Konig from a cold start on a bipartite graph, branch
-    and bound up to GENERAL_OPT_BUDGET active vertices otherwise (above it
+    Hopcroft-Karp and Konig from a cold start on a bipartite graph, the
+    reductions and branch and bound of `mvc_general_on_mask` up to
+    GENERAL_OPT_BUDGET active vertices otherwise (above it
     CapacityError, every time).  The last result is kept on the graph,
     keyed by the mask's bytes, and the cover is read-only: a response and
     the evaluator's optimum of one realization share a single solve.  The

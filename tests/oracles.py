@@ -12,6 +12,11 @@ as the yardstick for tie-breaking.  The production kernel must return the
 identical matching (which maximum matching comes back, not only its size),
 because partition marginals and `mc_matching`'s query set depend on it.
 
+`reference_mvc_general` is the package's earlier exact general cover:
+dict-of-set adjacency, repeated degree-0/1 sweeps and branch and bound per
+component.  The production solver must return a cover of the same size,
+and refuse exactly the masks it refused; the vertex sets may differ.
+
 `reference_general_vc_plan` and `reference_general_vc_cover` are the
 package's earlier water-filling plan and cover, kept verbatim with the
 `FillingResult` and `FractionalAssignment` types they were built on.  The
@@ -40,7 +45,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from stochcover import rng
-from stochcover.errors import ParameterError, StructuralError
+from stochcover.errors import CapacityError, ParameterError, StructuralError
 from stochcover.graphs import EdgePartition, Graph, bipartition
 from stochcover.matching import hk_on_mask
 from stochcover.partition import (
@@ -372,6 +377,135 @@ def reference_konig_cover(
 
 
 # --- the earlier per-draw partition round, kept verbatim ---------------------
+
+
+def _reference_components(adj: dict[int, set[int]]) -> list[list[int]]:
+    seen: set[int] = set()
+    out: list[list[int]] = []
+    for root in sorted(adj):
+        if root in seen or not adj[root]:
+            continue
+        comp = [root]
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def _reference_greedy_matching_lb(adj: dict[int, set[int]]) -> int:
+    used: set[int] = set()
+    size = 0
+    for u in sorted(adj):
+        if u in used or not adj[u]:
+            continue
+        for w in sorted(adj[u]):
+            if w not in used:
+                used.add(u)
+                used.add(w)
+                size += 1
+                break
+    return size
+
+
+def _reference_reduce(adj: dict[int, set[int]], cover: set[int]) -> None:
+    again = True
+    while again:
+        again = False
+        for v in sorted(adj):
+            nbrs = adj.get(v)
+            if nbrs is None:
+                continue
+            if not nbrs:
+                del adj[v]
+            elif len(nbrs) == 1:
+                (u,) = nbrs
+                cover.add(u)
+                for w in list(adj[u]):
+                    adj[w].discard(u)
+                del adj[u]
+                again = True
+
+
+def _reference_bb_component(adj: dict[int, set[int]]) -> set[int]:
+    base: set[int] = set()
+    _reference_reduce(adj, base)
+    if not adj:
+        return base
+
+    # greedy max-degree incumbent
+    g2 = {v: set(ns) for v, ns in adj.items()}
+    incumbent = set(base)
+    while any(g2.values()):
+        v = max(sorted(g2), key=lambda x: len(g2[x]))
+        incumbent.add(v)
+        for w in list(g2[v]):
+            g2[w].discard(v)
+        del g2[v]
+    best = [incumbent]
+
+    def recurse(cur: dict[int, set[int]], chosen: set[int]) -> None:
+        local = {v: set(ns) for v, ns in cur.items()}
+        picked = set(chosen)
+        _reference_reduce(local, picked)
+        local = {v: ns for v, ns in local.items() if ns}
+        if not local:
+            if len(picked) < len(best[0]):
+                best[0] = picked
+            return
+        if len(picked) + _reference_greedy_matching_lb(local) >= len(best[0]):
+            return
+        v = max(sorted(local), key=lambda x: len(local[x]))
+        nbrs = sorted(local[v])
+        # branch 1: v in the cover
+        b1 = {u: set(ns) for u, ns in local.items()}
+        for w in b1[v]:
+            b1[w].discard(v)
+        del b1[v]
+        recurse(b1, picked | {v})
+        # branch 2: v excluded, so all its neighbors are in
+        b2 = {u: set(ns) for u, ns in local.items()}
+        add = set(nbrs)
+        for u in nbrs:
+            for w in b2[u]:
+                b2[w].discard(u)
+            del b2[u]
+        b2.pop(v, None)
+        recurse(b2, picked | add)
+
+    recurse(adj, base)
+    return best[0]
+
+
+def reference_mvc_general(
+    graph: Graph, mask: Optional[np.ndarray], budget_vertices: int = 40
+) -> tuple[np.ndarray, int]:
+    """The earlier `mvc_general_on_mask`: (cover, size), or CapacityError."""
+    adj: dict[int, set[int]] = {}
+    present = range(graph.m) if mask is None else np.nonzero(np.asarray(mask, dtype=bool))[0].tolist()
+    for e in present:
+        u, v = graph.edges[e]
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    if len(adj) > budget_vertices:
+        raise CapacityError(
+            f"exact vertex cover refused: {len(adj)} active vertices "
+            f"exceeds budget {budget_vertices}"
+        )
+    cover: set[int] = set()
+    for comp in _reference_components(adj):
+        sub = {v: set(adj[v]) for v in comp}
+        cover |= _reference_bb_component(sub)
+    out = np.zeros(graph.n, dtype=bool)
+    if cover:
+        out[sorted(cover)] = True
+    return out, len(cover)
 
 
 def _reference_greedy(graph: Graph, order: Sequence[int]) -> list[int]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import reference_general_vc_cover, reference_general_vc_plan
 from stochcover.errors import ParameterError, StructuralError
 from stochcover import rng
+from stochcover.evaluator import _TAG_TRIAL
 from stochcover.filling import (
     SATURATION_TOL,
     filling_on_mask,
@@ -253,6 +254,23 @@ def test_heap_sweep_on_plan_budgets_at_scale():
         mask = rng.bernoulli_mask(k, g.m, 0.25)
         assert np.array_equal(
             saturated_on_mask(g, mask, budgets), filling_on_mask(g, mask, budgets)[1]
+        )
+
+
+def test_heap_sweep_on_the_general_er_plan():
+    # the benchmark's non-bipartite workload: er(50,0.1) s0 at p=0.3,
+    # epsilon=0.5, over the evaluator's first 400 realizations at seed 13
+    g = gen_er(50, 0.1, seed=0).graph
+    plan = general_vc_plan(g, 0.5, 0.3)
+    ref = reference_general_vc_plan(g, 0.5, 0.3)
+    q_idx = np.flatnonzero(plan.queried)
+    for k in range(400):
+        mask = rng.bernoulli_mask(rng.derive_seed(13, _TAG_TRIAL, k), g.m, 0.3)
+        realized = mask & plan.queried
+        saturated = saturated_on_mask(g, realized, plan.residual_budget)
+        assert np.array_equal(saturated, filling_on_mask(g, realized, plan.residual_budget)[1])
+        assert np.array_equal(
+            plan.committed | saturated, reference_general_vc_cover(ref, mask[q_idx])
         )
 
 

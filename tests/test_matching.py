@@ -10,9 +10,11 @@ from oracles import (
     is_valid_cover,
     reference_hk,
     reference_konig_cover,
+    reference_mvc_general,
 )
 from stochcover.errors import CapacityError, StructuralError
 from stochcover.graphs import Graph, bipartition
+from stochcover.instances import gen_er
 from stochcover.matching import (
     BipartiteBase,
     Matching,
@@ -232,6 +234,99 @@ def test_mvc_general_matches_brute_force(g):
     assert size == brute_min_vertex_cover(g)
     assert is_valid_cover(g, cover)
     assert int(cover.sum()) == size
+
+
+@st.composite
+def cover_pieces(draw):
+    """Edges of one small piece on vertices 0..k-1, and k.
+
+    Pendant paths and trees, odd cycles with chords, triangles with tails,
+    and lone vertices: the shapes the degree-1 rule and the kernel see.
+    """
+    shape = draw(st.sampled_from(["path", "tree", "odd_cycle", "triangle_tails", "isolated"]))
+    if shape == "isolated":
+        return [], 1
+    if shape == "path":
+        k = draw(st.integers(2, 6))
+        return [(i, i + 1) for i in range(k - 1)], k
+    if shape == "tree":
+        k = draw(st.integers(2, 7))
+        return [(draw(st.integers(0, i - 1)), i) for i in range(1, k)], k
+    if shape == "odd_cycle":
+        k = draw(st.sampled_from([3, 5, 7]))
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        chords = [(u, v) for u in range(k) for v in range(u + 2, k) if (u, v) != (0, k - 1)]
+        if chords:
+            edges += draw(st.lists(st.sampled_from(chords), unique=True, max_size=3))
+        return edges, k
+    edges = [(0, 1), (1, 2), (0, 2)]
+    k = 3
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append((draw(st.integers(0, k - 1)), k))
+        k += 1
+    return edges, k
+
+
+@st.composite
+def masked_cover_cases(draw):
+    """A disjoint union of pieces with shuffled labels, an edge mask, a budget."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(1, 3))):
+        piece, k = draw(cover_pieces())
+        if n + k > 14:
+            break
+        edges += [(u + n, v + n) for u, v in piece]
+        n += k
+    labels = draw(st.permutations(range(n)))
+    g = Graph(n, tuple((labels[u], labels[v]) for u, v in edges))
+    kind = draw(st.sampled_from(["full", "random", "empty"]))
+    if kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+    else:
+        mask = np.full(g.m, kind == "full", dtype=bool)
+    return g, mask, draw(st.integers(0, 16))
+
+
+@given(masked_cover_cases())
+@settings(max_examples=150)
+def test_mvc_general_matches_the_reference_and_brute_force(case):
+    g, mask, budget = case
+    try:
+        _ref_cover, ref_size = reference_mvc_general(g, mask, budget)
+    except CapacityError:
+        with pytest.raises(CapacityError):
+            mvc_general_on_mask(g, mask, budget)
+        return
+    cover, size = mvc_general_on_mask(g, mask, budget)
+    assert size == ref_size == brute_min_vertex_cover(g, mask)
+    assert is_valid_cover(g, cover, edge_mask=mask)
+    assert int(cover.sum()) == size
+
+
+def test_mvc_general_backtracks_past_the_first_descent():
+    # a kernel on which the first descent (largest degree into the cover)
+    # finds 9 and the optimum is 8: the search must backtrack, and a bound
+    # one too eager prunes the optimum away
+    g = gen_er(13, 0.4, seed=1780).graph
+    cover, size = mvc_general_on_mask(g, None)
+    assert size == reference_mvc_general(g, None)[1] == brute_min_vertex_cover(g) == 8
+    assert is_valid_cover(g, cover) and int(cover.sum()) == size
+
+
+def test_mvc_general_budget_counts_vertices_before_reduction():
+    # a perfect matching on budget + 2 vertices: the degree-1 rule alone
+    # would solve it, but the budget is counted before any reduction
+    budget = 10
+    g = Graph(budget + 2, tuple((2 * i, 2 * i + 1) for i in range(budget // 2 + 1)))
+    at_budget = np.ones(g.m, dtype=bool)
+    at_budget[-1] = False
+    cover, size = mvc_general_on_mask(g, at_budget, budget)
+    assert size == budget // 2 and is_valid_cover(g, cover, edge_mask=at_budget)
+    with pytest.raises(CapacityError):
+        mvc_general_on_mask(g, np.ones(g.m, dtype=bool), budget)
+    with pytest.raises(CapacityError):
+        reference_mvc_general(g, np.ones(g.m, dtype=bool), budget)
 
 
 def test_mvc_general_budget_refusal():
