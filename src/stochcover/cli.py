@@ -72,7 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--epsilon", type=float, default=None)
         cmd.add_argument("--trials", type=int, default=None)
         add_seed(cmd)
-        cmd.add_argument("--threads", type=int, default=None)
+        cmd.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="worker processes for the trials (default 1: none); every"
+            " column but wall_ms is identical for any value",
+        )
         cmd.add_argument("--no-optimum", action="store_true", help="skip per-trial optima")
         cmd.add_argument(
             "--override",

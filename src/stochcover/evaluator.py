@@ -3,13 +3,18 @@
 One evaluation = plan once, then for each trial draw a realization, hand
 the strategy only the answers for its queried edges, check the answer
 against the full realization, and solve the realization exactly for the
-reference optimum.  The optimum comes from `strategies.exact_cover_on_mask`,
+reference optimum.  Trials run in contiguous blocks of at most
+`partition.BLOCK_CELLS` edge cells: one kernel draws a block's
+realizations in one call, answers them, checks every cover answer of the
+block at once, and solves the optima.  The blocks run in this process, or
+with `threads` > 1 in that many worker processes, which get the plans once
+when they start.  The optimum comes from `strategies.exact_cover_on_mask`,
 which keeps its last solve, so a strategy that answered the same trial with
 an exact cover of the whole realization (any plan that queried every edge)
 has already paid for it.  Trials use seeds derived from (seed, trial
-index), so a report is reproducible bit for bit at any thread count, and
-separate evaluations with the same seed see the same realizations (common
-random numbers).
+index), so a report is reproducible bit for bit at any block size and
+worker count, and separate evaluations with the same seed see the same
+realizations (common random numbers).
 
 For tiny graphs there is also a full-enumeration oracle giving exact
 expected optimum sizes, used to cross-check the Monte-Carlo pipeline.
@@ -18,8 +23,8 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
@@ -31,12 +36,12 @@ from .strategies import (
     QueryPlan,
     StrategyAnswer,
     StrategyParams,
+    _respond,
     exact_cover_on_mask,
     plan_strategy,
-    respond_strategy,
     strategy_kind,
 )
-from . import rng
+from . import partition, rng
 
 __all__ = [
     "CSV_COLUMNS",
@@ -183,6 +188,130 @@ class _OptimumSolver:
             return 0, 0
 
 
+@dataclass(frozen=True)
+class _Trials:
+    """What every trial block reads, built once by the caller."""
+
+    graph: Graph
+    plans: tuple[QueryPlan, ...]
+    kinds: tuple[str, ...]
+    p: float
+    seed: int
+    need_nu: bool
+    need_mu: bool
+
+
+@dataclass(frozen=True)
+class _BlockResult:
+    sizes: np.ndarray  # (plans, rows) answer sizes
+    violations: np.ndarray  # (plans, rows)
+    nu: np.ndarray
+    mu: np.ndarray
+    infeasible: tuple[bool, bool]  # the optimum solver's (nu, mu) latches
+
+
+def _trial_blocks(trials: int, m: int, threads: int) -> list[tuple[int, int]]:
+    """Contiguous [k0, k1) trial blocks of at most BLOCK_CELLS edge cells.
+
+    With several workers a block also holds at most ceil(trials / threads)
+    trials, so that every worker gets one.
+    """
+    rows = max(1, partition.BLOCK_CELLS // max(m, 1))
+    if threads > 1:
+        rows = min(rows, -(-trials // threads))
+    return [(k0, min(trials, k0 + rows)) for k0 in range(0, trials, rows)]
+
+
+def _run_block(setup: _Trials, k0: int, k1: int) -> _BlockResult:
+    """Draw, answer, check and solve trials k0..k1-1.
+
+    Row r of the block's draw is trial k0 + r's realization, the one
+    `rng.bernoulli_mask(rng.derive_seed(seed, _TAG_TRIAL, k0 + r), m, p)`
+    gives.  Cover answers are stacked and checked for the whole block at
+    once; matching answers are checked one by one.
+    """
+    graph = setup.graph
+    masks = rng.uniform_rows(rng.derive_seeds(setup.seed, _TAG_TRIAL, k0, k1), graph.m) < setup.p
+    rows = k1 - k0
+    sizes = np.zeros((len(setup.plans), rows), dtype=np.int64)
+    violations = np.zeros((len(setup.plans), rows), dtype=np.int64)
+    covers = {
+        j: np.zeros((rows, graph.n), dtype=bool)
+        for j, kind in enumerate(setup.kinds)
+        if kind == "cover"
+    }
+    nu = np.zeros(rows, dtype=np.float64)
+    mu = np.zeros(rows, dtype=np.float64)
+    solver = _OptimumSolver(graph)
+    for r, mask in enumerate(masks):
+        real = None
+        for j, plan in enumerate(setup.plans):
+            ans = _respond(plan, mask & plan.queried)
+            if j in covers:
+                covers[j][r] = ans.cover
+                continue
+            if real is None:
+                real = Realization(graph, mask, setup.p)
+            sizes[j, r] = ans.size
+            violations[j, r] = validity_check(ans, real)
+        if setup.need_nu or setup.need_mu:
+            nu[r], mu[r] = solver.solve(mask, setup.need_nu, setup.need_mu)
+    eu, ev = graph.edge_u, graph.edge_v
+    for j, cover in covers.items():
+        sizes[j] = np.count_nonzero(cover, axis=1)
+        violations[j] = np.count_nonzero(masks & ~(cover[:, eu] | cover[:, ev]), axis=1)
+    return _BlockResult(sizes, violations, nu, mu, (solver.infeasible_nu, solver.infeasible_mu))
+
+
+# The trials a worker process serves, set once by the pool's initializer.
+_worker_setup: Optional[_Trials] = None
+
+
+def _init_worker(setup: _Trials) -> None:
+    global _worker_setup
+    _worker_setup = setup
+
+
+def _run_worker_block(bounds: tuple[int, int]) -> _BlockResult:
+    return _run_block(_worker_setup, *bounds)
+
+
+def _start_method() -> str:
+    """Fork while this process runs a single thread, spawn otherwise.
+
+    A forked worker starts in milliseconds with the trials already in its
+    memory; a spawned one imports the package and unpickles them, which
+    costs about half a second.  But a fork copies every lock as it stands,
+    so a lock that another thread holds at that moment stays held in the
+    worker for good.
+    """
+    import multiprocessing
+
+    if threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return "spawn"
+
+
+def _run_in_workers(
+    setup: _Trials, blocks: list[tuple[int, int]], workers: int
+) -> list[_BlockResult]:
+    """The blocks' results in block order, from `workers` worker processes.
+
+    Every worker is gone when this returns.  The pool's modules (about
+    1 MiB) are imported here, so a run in one process never loads them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(_start_method()),
+        initializer=_init_worker,
+        initargs=(setup,),
+    ) as pool:
+        return list(pool.map(_run_worker_block, blocks))
+
+
 def evaluate_strategies(
     strategy_ids: Sequence[str],
     graph: Graph,
@@ -197,49 +326,45 @@ def evaluate_strategies(
 
     All strategies see identical realizations, and per-trial optima are
     solved once and shared, so ratio differences between rows are not
-    Monte-Carlo artifacts.
+    Monte-Carlo artifacts.  `threads` is the number of worker processes
+    the trial blocks are spread over; at 1 they run in this process.  The
+    reports do not depend on it.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
     if threads < 1:
         raise ParameterError("threads must be at least 1")
     t_start = time.perf_counter()
-    plans: list[QueryPlan] = [plan_strategy(sid, graph, params) for sid in strategy_ids]
+    plans = tuple(plan_strategy(sid, graph, params) for sid in strategy_ids)
 
-    kinds = [strategy_kind(sid) for sid in strategy_ids]
-    need_nu = compute_optimum and any(k == "cover" for k in kinds)
-    need_mu = compute_optimum and any(k == "matching" for k in kinds)
-    solver = _OptimumSolver(graph)
+    kinds = tuple(strategy_kind(sid) for sid in strategy_ids)
+    need_nu = compute_optimum and "cover" in kinds
+    need_mu = compute_optimum and "matching" in kinds
+    setup = _Trials(graph, plans, kinds, params.p, seed, need_nu, need_mu)
+    blocks = _trial_blocks(trials, graph.m, threads)
+    if threads == 1:
+        results = [_run_block(setup, k0, k1) for k0, k1 in blocks]
+    else:
+        results = _run_in_workers(setup, blocks, min(threads, len(blocks)))
 
-    k_strats = len(plans)
-    answer_sizes = np.zeros((k_strats, trials), dtype=np.float64)
-    violations = np.zeros((k_strats, trials), dtype=np.int64)
+    answer_sizes = np.zeros((len(plans), trials), dtype=np.float64)
+    violations = np.zeros((len(plans), trials), dtype=np.int64)
     nu_vals = np.zeros(trials, dtype=np.float64)
     mu_vals = np.zeros(trials, dtype=np.float64)
-    q_indices = [plan.queried_indices for plan in plans]
-
-    def run_trial(k: int) -> None:
-        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_TRIAL, k), graph.m, params.p)
-        real = Realization(graph, mask, params.p)
-        for j, plan in enumerate(plans):
-            ans = respond_strategy(plan, mask[q_indices[j]])
-            answer_sizes[j, k] = ans.size
-            violations[j, k] = validity_check(ans, real)
-        if need_nu or need_mu:
-            nu_vals[k], mu_vals[k] = solver.solve(mask, need_nu, need_mu)
-
-    if threads == 1:
-        for k in range(trials):
-            run_trial(k)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(trials)))
+    infeasible_nu = infeasible_mu = False
+    for (k0, k1), res in zip(blocks, results):
+        answer_sizes[:, k0:k1] = res.sizes
+        violations[:, k0:k1] = res.violations
+        nu_vals[k0:k1] = res.nu
+        mu_vals[k0:k1] = res.mu
+        infeasible_nu |= res.infeasible[0]
+        infeasible_mu |= res.infeasible[1]
 
     reports = []
     for j, sid in enumerate(strategy_ids):
         kind = kinds[j]
         opts = nu_vals if kind == "cover" else mu_vals
-        infeasible = solver.infeasible_nu if kind == "cover" else solver.infeasible_mu
+        infeasible = infeasible_nu if kind == "cover" else infeasible_mu
         mean_answer = math.fsum(answer_sizes[j]) / trials
         if compute_optimum and not infeasible:
             mean_opt: Optional[float] = math.fsum(opts) / trials

@@ -312,7 +312,7 @@ class BipartiteBase:
     `solve` adds Konig's cover.  The adjacency lists are those built from
     S | X in increasing edge order, so the matching is the one a search over
     that union, warm-started from S's matching, returns.  Instances are
-    read-only after construction, so threads may share one.
+    read-only after construction.
     """
 
     def __init__(self, graph: Graph, side: np.ndarray, s_mask: np.ndarray):

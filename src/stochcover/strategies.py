@@ -151,8 +151,7 @@ def exact_cover_on_mask(graph: Graph, mask: np.ndarray) -> tuple[np.ndarray, int
     GENERAL_OPT_BUDGET active vertices otherwise (above it
     CapacityError, every time).  The last result is kept on the graph,
     keyed by the mask's bytes, and the cover is read-only: a response and
-    the evaluator's optimum of one realization share a single solve.  The
-    slot is replaced as one tuple, so concurrent callers can only miss it.
+    the evaluator's optimum of one realization share a single solve.
     """
     key = np.asarray(mask, dtype=bool).tobytes()
     memo = graph.__dict__.get("_exact_cover")
@@ -384,4 +383,9 @@ def respond_strategy(plan: QueryPlan, answers: np.ndarray) -> StrategyAnswer:
         )
     realized_mask = np.zeros(plan.graph.m, dtype=bool)
     realized_mask[q_idx[answers]] = True
+    return _respond(plan, realized_mask)
+
+
+def _respond(plan: QueryPlan, realized_mask: np.ndarray) -> StrategyAnswer:
+    """Answer from a full-length mask that is False outside the queried edges."""
     return _REGISTRY[plan.strategy][1](plan, realized_mask)

@@ -29,14 +29,23 @@ package's earlier partition round: one draw, one fresh warm-started
 matching per draw.  The block-drawn round must yield the same draws and
 matchings and bitwise the same marginals.
 
+`reference_evaluate_strategies` is the package's earlier evaluation loop:
+one closure per trial that draws the realization, asks each plan through
+`respond_strategy`, checks each answer with `validity_check` and solves
+the optimum, run in order or on a thread pool.  The block kernel must give
+the same reports, `wall_ms` aside.
+
 `policy_matching_sizes` and `conditional_match_probs` are Monte-Carlo
 yardsticks for the partition policy and for the exact proposal rows; they
 drive the package's own policies and base matchers on fresh draws.
 """
 from __future__ import annotations
 
+import math
 import sys
+import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -46,7 +55,14 @@ import numpy as np
 
 from stochcover import rng
 from stochcover.errors import CapacityError, ParameterError, StructuralError
-from stochcover.graphs import EdgePartition, Graph, bipartition
+from stochcover.evaluator import (
+    _TAG_TRIAL,
+    EvalReport,
+    _OptimumSolver,
+    _ratio_ci95,
+    validity_check,
+)
+from stochcover.graphs import EdgePartition, Graph, Realization, bipartition
 from stochcover.matching import hk_on_mask
 from stochcover.partition import (
     ROUTINE_BIPARTITE,
@@ -54,6 +70,13 @@ from stochcover.partition import (
     _TAG_SAMPLE,
     MatchingPolicy,
     _policy_draws,
+)
+from stochcover.strategies import (
+    QueryPlan,
+    StrategyParams,
+    plan_strategy,
+    respond_strategy,
+    strategy_kind,
 )
 from stochcover.vim import EdgeStatusProfile, ProposalRow, run_base_matcher
 
@@ -733,3 +756,89 @@ def reference_general_vc_cover(plan: ReferenceGeneralVcPlan, realized_q: np.ndar
     mask[q_idx[realized_q]] = True
     run = _reference_filling_on_mask(g, mask, plan.residual_budget)
     return plan.committed | run.saturated
+
+
+def reference_evaluate_strategies(
+    strategy_ids: Sequence[str],
+    graph: Graph,
+    params: StrategyParams,
+    trials: int,
+    seed: int,
+    instance: str = "instance",
+    compute_optimum: bool = True,
+    threads: int = 1,
+) -> list[EvalReport]:
+    """Evaluate several strategies on shared per-trial realizations.
+
+    All strategies see identical realizations, and per-trial optima are
+    solved once and shared, so ratio differences between rows are not
+    Monte-Carlo artifacts.
+    """
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
+    if threads < 1:
+        raise ParameterError("threads must be at least 1")
+    t_start = time.perf_counter()
+    plans: list[QueryPlan] = [plan_strategy(sid, graph, params) for sid in strategy_ids]
+
+    kinds = [strategy_kind(sid) for sid in strategy_ids]
+    need_nu = compute_optimum and any(k == "cover" for k in kinds)
+    need_mu = compute_optimum and any(k == "matching" for k in kinds)
+    solver = _OptimumSolver(graph)
+
+    k_strats = len(plans)
+    answer_sizes = np.zeros((k_strats, trials), dtype=np.float64)
+    violations = np.zeros((k_strats, trials), dtype=np.int64)
+    nu_vals = np.zeros(trials, dtype=np.float64)
+    mu_vals = np.zeros(trials, dtype=np.float64)
+    q_indices = [plan.queried_indices for plan in plans]
+
+    def run_trial(k: int) -> None:
+        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_TRIAL, k), graph.m, params.p)
+        real = Realization(graph, mask, params.p)
+        for j, plan in enumerate(plans):
+            ans = respond_strategy(plan, mask[q_indices[j]])
+            answer_sizes[j, k] = ans.size
+            violations[j, k] = validity_check(ans, real)
+        if need_nu or need_mu:
+            nu_vals[k], mu_vals[k] = solver.solve(mask, need_nu, need_mu)
+
+    if threads == 1:
+        for k in range(trials):
+            run_trial(k)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_trial, range(trials)))
+
+    reports = []
+    for j, sid in enumerate(strategy_ids):
+        kind = kinds[j]
+        opts = nu_vals if kind == "cover" else mu_vals
+        infeasible = solver.infeasible_nu if kind == "cover" else solver.infeasible_mu
+        mean_answer = math.fsum(answer_sizes[j]) / trials
+        if compute_optimum and not infeasible:
+            mean_opt: Optional[float] = math.fsum(opts) / trials
+            ratio = mean_answer / mean_opt if mean_opt else None
+            ci = _ratio_ci95(answer_sizes[j], opts) if mean_opt else None
+        else:
+            mean_opt = ratio = ci = None
+        wall = (time.perf_counter() - t_start) * 1000.0
+        reports.append(
+            EvalReport(
+                instance=instance,
+                strategy=sid,
+                p=params.p,
+                epsilon=params.epsilon,
+                trials=trials,
+                seed=seed,
+                mean_answer=mean_answer,
+                mean_opt=mean_opt,
+                ratio=ratio,
+                ratio_ci95=ci,
+                max_pv_queries=plans[j].max_per_vertex_queries,
+                total_queries=plans[j].total_queries,
+                validity_failures=int(violations[j].sum()),
+                wall_ms=wall,
+            )
+        )
+    return reports

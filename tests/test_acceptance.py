@@ -258,6 +258,33 @@ def test_criterion_04_partition_properties(c4_outcomes):
     print(f"criterion 4: {'; '.join(lines)} (tau={tau}, floor={floor:.2f})")
 
 
+def test_partition_with_surviving_s_holds_criterion_04_bound():
+    """Criterion 4's surviving-S bound, on a partition that leaves S nonempty.
+
+    Criterion 4's outcomes query every edge, so their S is empty.  This is
+    `partition_erb`'s bipartite_vc plan, which leaves a few edges in S; every
+    one of them must stay below tau + 3 sqrt(2 ln n / t) on a fresh
+    estimate at its own sample count.
+    """
+    graph = gen_er_bipartite(30, 30, 0.2, seed=7).graph
+    eps, p, t = 0.5, 0.3, 2000
+    params = StrategyParams(
+        p=p, epsilon=eps, seed=13, overrides={"partition_t": t, "partition_rounds": 12}
+    )
+    out = plan_strategy("bipartite_vc", graph, params).payload.extra
+    s_edges = np.flatnonzero(~out.partition.in_q)
+    assert len(s_edges) > 0
+    tau = eps * eps * p
+    bound = tau + 3.0 * math.sqrt(2.0 * math.log(max(graph.n, 2)) / t)
+    est = estimate_marginals(out.policy, out.partition, graph, p, t, seed=1234)
+    worst = float(est[s_edges].max())
+    assert worst <= bound, (worst, bound)
+    print(
+        f"surviving S: {len(s_edges)} of {graph.m} edges unqueried,"
+        f" worst marginal {worst:.4f} (bound {bound:.4f})"
+    )
+
+
 def test_criterion_05_bipartite_ratio(corpus):
     params = StrategyParams(
         p=0.5,

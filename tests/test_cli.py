@@ -93,6 +93,21 @@ def test_run_and_compare_give_the_same_rows(capsys):
     assert tables[0] == tables[1]
 
 
+def test_compare_threads_do_not_change_rows(capsys):
+    args = (
+        "compare", "--family", "er_bipartite", "--na", "7", "--nb", "7", "--edge-prob", "0.5",
+        "--seed", "9", "--strategy", "general_vc,mc_matching,random_query_baseline",
+        "--p", "0.5", "--trials", "150",
+    )
+    tables = []
+    for threads in ("1", "2"):
+        code, stdout, _ = run_cli(capsys, *args, "--threads", threads)
+        assert code == 0
+        tables.append([{k: v for k, v in row.items() if k != "wall_ms"} for row in csv_rows(stdout)])
+    assert len(tables[0]) == 3
+    assert tables[0] == tables[1]
+
+
 def test_no_optimum_flag_blanks_columns(capsys):
     code, stdout, _ = run_cli(
         capsys, "run", "--family", "perfect_matching", "--n", "8", "--strategy",

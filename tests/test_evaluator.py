@@ -1,18 +1,26 @@
 import io
+import multiprocessing
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_vertex_cover, expected_stats_by_enumeration
-from stochcover import rng
+from oracles import (
+    brute_min_vertex_cover,
+    expected_stats_by_enumeration,
+    reference_evaluate_strategies,
+)
+from stochcover import partition, rng
 from stochcover.errors import CapacityError, ParameterError
 from stochcover.evaluator import (
     CSV_COLUMNS,
     _TAG_TRIAL,
     _OptimumSolver,
+    _start_method,
     evaluate_strategies,
     exact_expected_stats,
     validity_check,
@@ -28,6 +36,7 @@ from stochcover.instances import (
 )
 from stochcover.strategies import (
     GENERAL_OPT_BUDGET,
+    STRATEGY_IDS,
     StrategyAnswer,
     StrategyParams,
     exact_cover_on_mask,
@@ -242,3 +251,110 @@ def test_csv_shape_and_encoding():
     assert first[1] == "query_nothing"
     assert first[2] == repr(0.25)
     assert first[-1].isdigit()  # wall_ms is rounded to whole milliseconds
+
+
+def _rows(reports):
+    return [r.csv_row()[:-1] for r in reports]  # wall_ms is timing, not output
+
+
+GENERAL_IDS = ["general_vc", "random_query_baseline", "query_nothing", "query_everything"]
+
+# (graph, strategies, params, trials, seed, trials per block or None for the default)
+BLOCK_CASES = {
+    "all_strategies": (
+        gen_er_bipartite(6, 6, 0.35, seed=4).graph,
+        list(STRATEGY_IDS),
+        StrategyParams(p=0.4, seed=3, overrides={"partition_t": 300}),
+        150,
+        11,
+        None,
+    ),
+    "general": (
+        gen_er(26, 0.1, seed=5).graph,
+        GENERAL_IDS,
+        StrategyParams(p=0.4, seed=3),
+        120,
+        7,
+        None,
+    ),
+    "capacity_latch": (
+        gen_er(120, 0.1, seed=2).graph,
+        ["general_vc"],
+        StrategyParams(p=0.5),
+        50,
+        7,
+        None,
+    ),
+    # only trial 14 exceeds the exact solver's budget, so with workers the
+    # latch trips in a block other than the last
+    "early_latch": (
+        gen_er(80, 0.04, seed=2).graph,
+        ["general_vc"],
+        StrategyParams(p=0.3),
+        40,
+        7,
+        None,
+    ),
+    "edgeless": (
+        Graph(5, ()),
+        GENERAL_IDS + ["mc_matching"],
+        StrategyParams(p=0.5),
+        20,
+        2,
+        None,
+    ),
+    "one_trial": (
+        gen_er_bipartite(6, 6, 0.35, seed=4).graph,
+        ["query_nothing", "mc_matching", "query_everything"],
+        StrategyParams(p=0.4, seed=3),
+        1,
+        5,
+        None,
+    ),
+    # three trials per block, so 100 trials end in a partial block
+    "uneven_blocks": (
+        gen_er_bipartite(6, 6, 0.35, seed=4).graph,
+        ["general_vc", "mc_matching", "random_query_baseline", "query_everything"],
+        StrategyParams(p=0.4, seed=3),
+        100,
+        9,
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_kernel_matches_the_per_trial_loop(case, threads):
+    graph, ids, params, trials, seed, rows = BLOCK_CASES[case]
+    expected = _rows(reference_evaluate_strategies(ids, graph, params, trials, seed))
+    cells = partition.BLOCK_CELLS if rows is None else rows * graph.m
+    with mock.patch.object(partition, "BLOCK_CELLS", cells):
+        got = _rows(evaluate_strategies(ids, graph, params, trials, seed, threads=threads))
+    assert got == expected
+
+
+def test_worker_processes_are_gone_after_the_call():
+    graph, ids, params, trials, seed, _rows_per_block = BLOCK_CASES["general"]
+    evaluate_strategies(ids, graph, params, trials, seed, threads=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_spawn_beside_other_threads():
+    # a fork would copy whatever lock the other thread holds, so the pool
+    # spawns its workers instead, and the reports stay the same
+    graph, ids, params, trials, seed, _rows_per_block = BLOCK_CASES["general"]
+    expected = _rows(evaluate_strategies(ids, graph, params, trials, seed))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert _start_method() == "spawn"
+        got = _rows(evaluate_strategies(ids, graph, params, trials, seed, threads=2))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert got == expected
+    assert multiprocessing.active_children() == []
+
