@@ -8,10 +8,18 @@ reference optimum.  Trials run in contiguous blocks of at most
 realizations in one call, answers them, checks every cover answer of the
 block at once, and solves the optima.  The blocks run in this process, or
 with `threads` > 1 in that many worker processes, which get the plans once
-when they start.  The optimum comes from `strategies.exact_cover_on_mask`,
-which keeps its last solve, so a strategy that answered the same trial with
-an exact cover of the whole realization (any plan that queried every edge)
-has already paid for it.  Trials use seeds derived from (seed, trial
+when they start.
+
+Each trial has one optimum, the size of an exact minimum vertex cover of
+its realization, and every row reads it.  A matching row reads it too: the
+one matching strategy, `mc_matching`, refuses non-bipartite graphs, and on
+a bipartite graph the maximum matching has the size of the minimum cover
+(Konig's theorem).  On a general graph the exact cover is refused above a
+vertex budget; from the first refusal on, the optimum columns stay empty.
+The optimum comes from `strategies.exact_cover_on_mask`, which keeps its
+last solve, so a strategy that answered the same trial with an exact cover
+of the whole realization (any plan that queried every edge) has already
+paid for it.  Trials use seeds derived from (seed, trial
 index), so a report is reproducible bit for bit at any block size and
 worker count, and separate evaluations with the same seed see the same
 realizations (common random numbers).
@@ -25,13 +33,13 @@ import csv
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .graphs import Graph, Realization, bipartition
+from .graphs import Graph, Realization
 from .strategies import (
     QueryPlan,
     StrategyAnswer,
@@ -54,26 +62,11 @@ __all__ = [
 
 _TAG_TRIAL = 41
 
-CSV_COLUMNS = (
-    "instance",
-    "strategy",
-    "p",
-    "epsilon",
-    "trials",
-    "seed",
-    "mean_answer",
-    "mean_opt",
-    "ratio",
-    "ratio_ci95",
-    "max_pv_queries",
-    "total_queries",
-    "validity_failures",
-    "wall_ms",
-)
-
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One strategy's evaluation; its fields, in order, are the CSV columns."""
+
     instance: str
     strategy: str
     p: float
@@ -90,29 +83,24 @@ class EvalReport:
     wall_ms: float
 
     def csv_row(self) -> list[str]:
-        def num(x) -> str:
-            if x is None:
-                return ""
-            if isinstance(x, float):
-                return repr(x)
-            return str(x)
+        return [_csv_cell(name, getattr(self, name)) for name in CSV_COLUMNS]
 
-        return [
-            self.instance,
-            self.strategy,
-            num(self.p),
-            num(self.epsilon),
-            str(self.trials),
-            str(self.seed),
-            num(self.mean_answer),
-            num(self.mean_opt),
-            num(self.ratio),
-            num(self.ratio_ci95),
-            str(self.max_pv_queries),
-            str(self.total_queries),
-            str(self.validity_failures),
-            str(int(round(self.wall_ms))),
-        ]
+
+CSV_COLUMNS = tuple(f.name for f in fields(EvalReport))
+
+
+def _csv_cell(name: str, value) -> str:
+    """One CSV cell: empty for None, repr for a float, str otherwise.
+
+    `wall_ms` is written in whole milliseconds.
+    """
+    if name == "wall_ms":
+        value = int(round(value))
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def validity_check(answer: StrategyAnswer, realization: Realization) -> int:
@@ -157,37 +145,6 @@ def _ratio_ci95(answers: np.ndarray, opts: np.ndarray) -> Optional[float]:
     return 1.96 * math.sqrt(max(var_r, 0.0))
 
 
-class _OptimumSolver:
-    """Per-realization exact nu / mu with a one-way infeasibility latch."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        sides = bipartition(graph)
-        self.side = sides.side if sides is not None else None
-        self.infeasible_nu = False
-        self.infeasible_mu = self.side is None  # no general matching solver here
-
-    def solve(self, mask: np.ndarray, need_nu: bool, need_mu: bool) -> tuple[int, int]:
-        """(nu, mu) of one realization; 0 for a value not needed or out of reach.
-
-        On a bipartite graph one exact cover gives both, since nu = mu
-        there (Konig's theorem).  Otherwise mu is out of reach, and nu comes
-        from the exact general cover (reductions, then branch and bound on
-        the kernel) until a mask first exceeds GENERAL_OPT_BUDGET active
-        vertices.
-        """
-        if self.side is not None:
-            size = exact_cover_on_mask(self.graph, mask)[1]
-            return (size if need_nu else 0), (size if need_mu else 0)
-        if not need_nu or self.infeasible_nu:
-            return 0, 0
-        try:
-            return exact_cover_on_mask(self.graph, mask)[1], 0
-        except CapacityError:
-            self.infeasible_nu = True
-            return 0, 0
-
-
 @dataclass(frozen=True)
 class _Trials:
     """What every trial block reads, built once by the caller."""
@@ -197,17 +154,15 @@ class _Trials:
     kinds: tuple[str, ...]
     p: float
     seed: int
-    need_nu: bool
-    need_mu: bool
+    need_opt: bool
 
 
 @dataclass(frozen=True)
 class _BlockResult:
     sizes: np.ndarray  # (plans, rows) answer sizes
     violations: np.ndarray  # (plans, rows)
-    nu: np.ndarray
-    mu: np.ndarray
-    infeasible: tuple[bool, bool]  # the optimum solver's (nu, mu) latches
+    opt: np.ndarray  # (rows,) exact optimum per trial
+    infeasible: bool  # some trial's exact optimum was refused
 
 
 def _trial_blocks(trials: int, m: int, threads: int) -> list[tuple[int, int]]:
@@ -228,7 +183,9 @@ def _run_block(setup: _Trials, k0: int, k1: int) -> _BlockResult:
     Row r of the block's draw is trial k0 + r's realization, the one
     `rng.bernoulli_mask(rng.derive_seed(seed, _TAG_TRIAL, k0 + r), m, p)`
     gives.  Cover answers are stacked and checked for the whole block at
-    once; matching answers are checked one by one.
+    once; matching answers are checked one by one.  The optimum is the
+    exact cover size; once a trial's is refused (`CapacityError`), the
+    block solves no more.
     """
     graph = setup.graph
     masks = rng.uniform_rows(rng.derive_seeds(setup.seed, _TAG_TRIAL, k0, k1), graph.m) < setup.p
@@ -240,9 +197,8 @@ def _run_block(setup: _Trials, k0: int, k1: int) -> _BlockResult:
         for j, kind in enumerate(setup.kinds)
         if kind == "cover"
     }
-    nu = np.zeros(rows, dtype=np.float64)
-    mu = np.zeros(rows, dtype=np.float64)
-    solver = _OptimumSolver(graph)
+    opt = np.zeros(rows, dtype=np.float64)
+    infeasible = False
     for r, mask in enumerate(masks):
         real = None
         for j, plan in enumerate(setup.plans):
@@ -254,13 +210,16 @@ def _run_block(setup: _Trials, k0: int, k1: int) -> _BlockResult:
                 real = Realization(graph, mask, setup.p)
             sizes[j, r] = ans.size
             violations[j, r] = validity_check(ans, real)
-        if setup.need_nu or setup.need_mu:
-            nu[r], mu[r] = solver.solve(mask, setup.need_nu, setup.need_mu)
+        if setup.need_opt and not infeasible:
+            try:
+                opt[r] = exact_cover_on_mask(graph, mask)[1]
+            except CapacityError:
+                infeasible = True
     eu, ev = graph.edge_u, graph.edge_v
     for j, cover in covers.items():
         sizes[j] = np.count_nonzero(cover, axis=1)
         violations[j] = np.count_nonzero(masks & ~(cover[:, eu] | cover[:, ev]), axis=1)
-    return _BlockResult(sizes, violations, nu, mu, (solver.infeasible_nu, solver.infeasible_mu))
+    return _BlockResult(sizes, violations, opt, infeasible)
 
 
 # The trials a worker process serves, set once by the pool's initializer.
@@ -338,9 +297,7 @@ def evaluate_strategies(
     plans = tuple(plan_strategy(sid, graph, params) for sid in strategy_ids)
 
     kinds = tuple(strategy_kind(sid) for sid in strategy_ids)
-    need_nu = compute_optimum and "cover" in kinds
-    need_mu = compute_optimum and "matching" in kinds
-    setup = _Trials(graph, plans, kinds, params.p, seed, need_nu, need_mu)
+    setup = _Trials(graph, plans, kinds, params.p, seed, compute_optimum)
     blocks = _trial_blocks(trials, graph.m, threads)
     if threads == 1:
         results = [_run_block(setup, k0, k1) for k0, k1 in blocks]
@@ -349,22 +306,16 @@ def evaluate_strategies(
 
     answer_sizes = np.zeros((len(plans), trials), dtype=np.float64)
     violations = np.zeros((len(plans), trials), dtype=np.int64)
-    nu_vals = np.zeros(trials, dtype=np.float64)
-    mu_vals = np.zeros(trials, dtype=np.float64)
-    infeasible_nu = infeasible_mu = False
+    opts = np.zeros(trials, dtype=np.float64)
+    infeasible = False
     for (k0, k1), res in zip(blocks, results):
         answer_sizes[:, k0:k1] = res.sizes
         violations[:, k0:k1] = res.violations
-        nu_vals[k0:k1] = res.nu
-        mu_vals[k0:k1] = res.mu
-        infeasible_nu |= res.infeasible[0]
-        infeasible_mu |= res.infeasible[1]
+        opts[k0:k1] = res.opt
+        infeasible |= res.infeasible
 
     reports = []
     for j, sid in enumerate(strategy_ids):
-        kind = kinds[j]
-        opts = nu_vals if kind == "cover" else mu_vals
-        infeasible = infeasible_nu if kind == "cover" else infeasible_mu
         mean_answer = math.fsum(answer_sizes[j]) / trials
         if compute_optimum and not infeasible:
             mean_opt: Optional[float] = math.fsum(opts) / trials

@@ -85,31 +85,31 @@ class Graph:
     def _bipartition(self) -> Optional["Bipartition"]:
         return _two_color(self)
 
-    def oriented_endpoints(self, side) -> tuple[list[int], list[int], bool]:
-        """Per edge, its side-0 ("left") and other ("right") endpoint.
+    @cached_property
+    def _own_orientation(self) -> tuple[list[int], list[int]]:
+        return self._orient(self._bipartition.side)
 
-        Returns (left, right, proper) with `left`/`right` as Python lists
-        indexed by edge; `proper` is False when some edge has no side-0
-        endpoint (then that edge's `left` is its second endpoint).  The
-        result is cached for the most recent side contents, so any side
-        array a caller passes is honoured; a read-only array that owns its
-        data, such as the cached bipartition's, is recognised by identity.
+    def oriented_endpoints(self, side) -> tuple[list[int], list[int]]:
+        """Per edge, its side-0 ("left") and side-1 ("right") endpoint.
+
+        Returns (left, right) as Python lists indexed by edge.  Every edge
+        must have one endpoint on each side, else StructuralError.  The
+        graph's own bipartition side (`bipartition(graph).side`, which
+        every matcher in the package passes) is oriented once, and
+        recognised by identity; any other side array is oriented afresh.
         """
-        cached = self.__dict__.get("_oriented")
-        if cached is not None and side is cached[0]:
-            return cached[2]
+        own = self._bipartition
+        if own is not None and side is own.side:
+            return self._own_orientation
+        return self._orient(side)
+
+    def _orient(self, side) -> tuple[list[int], list[int]]:
         is_right = np.asarray(side) != 0
-        key = is_right.tobytes()
-        if cached is None or cached[1] != key:
-            u, v = self.edge_u, self.edge_v
-            swap = is_right[u]
-            proper = not bool(np.any(swap & is_right[v]))
-            oriented = (np.where(swap, v, u).tolist(), np.where(swap, u, v).tolist(), proper)
-        else:
-            oriented = cached[2]
-        frozen = isinstance(side, np.ndarray) and not side.flags.writeable and side.base is None
-        self.__dict__["_oriented"] = (side if frozen else None, key, oriented)
-        return oriented
+        u, v = self.edge_u, self.edge_v
+        swap = is_right[u]
+        if np.any(swap == is_right[v]):
+            raise StructuralError("side array puts both ends of an edge on one side")
+        return np.where(swap, v, u).tolist(), np.where(swap, u, v).tolist()
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(e for (_, e) in self.adjacency[v])

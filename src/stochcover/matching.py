@@ -6,7 +6,12 @@ on this for bit-reproducible experiments.
 
 The bipartite matcher is a layered augmenting-path search (Hopcroft-Karp).
 Minimum vertex cover on bipartite graphs comes from the matching via the
-alternating-reachability construction.  On general graphs the exact cover
+alternating-reachability construction (Konig).  `BipartiteBase` is the one
+way into both: it prepares an edge set S, and `match` / `cover` answer for
+S plus more edges, warm-started from S's matching.  `hk_on_mask` and
+`mvc_bipartite_on_mask` are its cold forms, with S the whole mask.  Edges
+are oriented by `Graph.oriented_endpoints`, so a side array must put the
+two ends of every edge on different sides.  On general graphs the exact cover
 first applies the degree-0/1 rules to the whole mask with one worklist pass
 over list adjacencies, in O(n + m); what is left, the kernel, is usually
 empty or tiny, and each of its components goes to a branch and bound over
@@ -69,14 +74,14 @@ class _Adjacency:
 
     For each left (side-0) vertex u, `nbr[u]` lists the right endpoints and
     `eid[u]` the edge indices of its edges, both in the order the edges were
-    given, which fixes the tie-breaking.  `active` lists the vertices with
-    at least one edge and `lefts` the side-0 vertices among them.
+    given, which fixes the tie-breaking.  `active` lists the left vertices
+    with at least one edge.
     """
 
-    __slots__ = ("nbr", "eid", "active", "lefts")
+    __slots__ = ("nbr", "eid", "active")
 
     def __init__(self, graph: Graph, side: np.ndarray, edge_indices: Iterable[int]):
-        left, right, proper = graph.oriented_endpoints(side)
+        left, right = graph.oriented_endpoints(side)
         n = graph.n
         nbr: list[list[int]] = [[] for _ in range(n)]
         eid: list[list[int]] = [[] for _ in range(n)]
@@ -86,13 +91,7 @@ class _Adjacency:
             eid[u].append(e)
         self.nbr = nbr
         self.eid = eid
-        self._set_active(side, proper, [u for u in range(n) if nbr[u]])
-
-    def _set_active(self, side: np.ndarray, proper: bool, active: list[int]) -> None:
-        self.active = active
-        # every edge has a side-0 endpoint on a proper side array, so the
-        # vertices holding edges are exactly the side-0 ones
-        self.lefts = active if proper else [u for u in active if side[u] == 0]
+        self.active = [u for u in range(n) if nbr[u]]
 
     def plus(self, graph: Graph, side: np.ndarray, edge_indices: Sequence[int]) -> "_Adjacency":
         """This adjacency with more edges, each at its edge-index position.
@@ -102,7 +101,7 @@ class _Adjacency:
         built from the union in increasing edge order.  Only the rows the
         new edges touch are copied; this adjacency is left as it was.
         """
-        left, right, proper = graph.oriented_endpoints(side)
+        left, right = graph.oriented_endpoints(side)
         nbr = list(self.nbr)
         eid = list(self.eid)
         copied: set[int] = set()
@@ -119,11 +118,8 @@ class _Adjacency:
         out = _Adjacency.__new__(_Adjacency)
         out.nbr = nbr
         out.eid = eid
-        active = self.active
         fresh = [u for u in copied if not self.nbr[u]]
-        if fresh:
-            active = sorted(active + fresh)
-        out._set_active(side, proper, active)
+        out.active = sorted(self.active + fresh) if fresh else self.active
         return out
 
 
@@ -190,7 +186,7 @@ def _hopcroft_karp(adj: _Adjacency, pair: list[int], pedge: list[int]) -> int:
     """Grow the matching in `pair`/`pedge` in place to maximum; returns its size."""
     nbr = adj.nbr
     eid = adj.eid
-    lefts = adj.lefts
+    lefts = adj.active
     dist = [_INF] * len(nbr)
     size = sum(1 for u in lefts if pair[u] >= 0)
     while True:
@@ -258,14 +254,11 @@ def hk_on_mask(
     """Maximum matching of the subgraph selected by `mask`, from a cold start.
 
     Returns (pair, pair_edge, size): pair[v] is the matched partner or -1,
-    pair_edge[v] the matched edge index or -1.  `BipartiteBase` is the
-    warm-started form.
+    pair_edge[v] the matched edge index or -1.  This is `BipartiteBase`
+    with S the mask.
     """
-    adj = _Adjacency(graph, side, _mask_edges(graph, mask))
-    pair = [-1] * graph.n
-    pedge = [-1] * graph.n
-    size = _hopcroft_karp(adj, pair, pedge)
-    return pair, pedge, size
+    base = BipartiteBase(graph, side, mask)
+    return base.pair, base.pedge, base.size
 
 
 def konig_cover_from_pairs(
@@ -290,32 +283,29 @@ def konig_cover_from_pairs(
 def mvc_bipartite_on_mask(
     graph: Graph, side: np.ndarray, mask: Optional[np.ndarray]
 ) -> tuple[np.ndarray, int]:
-    """Exact minimum vertex cover of a masked bipartite graph.
+    """Exact minimum vertex cover of a masked bipartite graph, and its size.
 
-    Hopcroft-Karp, then Konig's construction, both on one adjacency build.
-    `BipartiteBase` is the warm-started form.
+    Hopcroft-Karp, then Konig's construction, both on one adjacency build:
+    `BipartiteBase` with S the mask.
     """
-    adj = _Adjacency(graph, side, _mask_edges(graph, mask))
-    pair = [-1] * graph.n
-    pedge = [-1] * graph.n
-    size = _hopcroft_karp(adj, pair, pedge)
-    return _konig(adj, pair, graph.n, strict=True), size
+    base = BipartiteBase(graph, side, mask)
+    return base.cover(np.zeros(graph.m, dtype=bool)), base.size
 
 
 class BipartiteBase:
     """A fixed edge set S of a bipartite graph, prepared for matchings of S + X.
 
     Holds S's adjacency and a maximum matching of S (`pair`, `pedge`,
-    `size`), both built once.
-    `match` adds the edges of X to a copy of the adjacency (or reuses S's
-    own when X is empty) and warm-starts Hopcroft-Karp from S's matching;
-    `solve` adds Konig's cover.  The adjacency lists are those built from
-    S | X in increasing edge order, so the matching is the one a search over
-    that union, warm-started from S's matching, returns.  Instances are
-    read-only after construction.
+    `size`), both built once.  `match` adds the edges of X to a copy of the
+    adjacency and warm-starts Hopcroft-Karp from S's matching; `cover` adds
+    Konig's cover.  The adjacency lists are those built from S | X in
+    increasing edge order, so the matching is the one a search over that
+    union, warm-started from S's matching, returns.  With X empty that is
+    S's own matching, which is maximum on S by construction, so it is
+    returned with no search.  Instances are read-only after construction.
     """
 
-    def __init__(self, graph: Graph, side: np.ndarray, s_mask: np.ndarray):
+    def __init__(self, graph: Graph, side: np.ndarray, s_mask: Optional[np.ndarray]):
         self.graph = graph
         self.side = side
         self.adj = _Adjacency(graph, side, _mask_edges(graph, s_mask))
@@ -324,9 +314,10 @@ class BipartiteBase:
         self.size = _hopcroft_karp(self.adj, self.pair, self.pedge)
 
     def _match(self, extra_mask: np.ndarray) -> tuple[_Adjacency, list[int], list[int], int]:
-        # S's own adjacency when the mask is empty; callers only read it
         extra = np.flatnonzero(extra_mask).tolist()
-        adj = self.adj.plus(self.graph, self.side, extra) if extra else self.adj
+        if not extra:
+            return self.adj, self.pair, self.pedge, self.size
+        adj = self.adj.plus(self.graph, self.side, extra)
         pair = list(self.pair)
         pedge = list(self.pedge)
         size = _hopcroft_karp(adj, pair, pedge)
@@ -336,15 +327,16 @@ class BipartiteBase:
         """(pair, pair_edge, size) of a maximum matching of S | extra_mask.
 
         The mask must avoid S.  The search starts from S's matching, so
-        when that is already maximum on S | extra_mask it is returned as is.
+        when that is already maximum on S | extra_mask it is returned as is;
+        with an empty mask the lists are S's own, to be read and not changed.
         """
         _adj, pair, pedge, size = self._match(extra_mask)
         return pair, pedge, size
 
-    def solve(self, extra_mask: np.ndarray) -> tuple[list[int], list[int], int, np.ndarray]:
-        """(pair, pair_edge, size, cover) of S | extra_mask; the mask must avoid S."""
-        adj, pair, pedge, size = self._match(extra_mask)
-        return pair, pedge, size, _konig(adj, pair, self.graph.n, strict=True)
+    def cover(self, extra_mask: np.ndarray) -> np.ndarray:
+        """Konig's minimum vertex cover of S | extra_mask; the mask must avoid S."""
+        adj, pair, _pedge, _size = self._match(extra_mask)
+        return _konig(adj, pair, self.graph.n, strict=True)
 
 
 # --- exact minimum vertex cover, general graphs -------------------------------

@@ -19,18 +19,20 @@ Catalog:
 The cover strategies other than general_vc share one responder: an exact
 cover of realized-Q union S, where S is the unqueried edges.
 query_everything (S empty) and query_nothing (Q empty) are its two ends.
-On a bipartite graph the plan prepares S once (its adjacency and a maximum
-matching), and each response adds the realized Q-edges to a copy of that
-adjacency and warm-starts from that matching.  Every other case (a general
-graph, or S empty) answers with `exact_cover_on_mask`, which keeps the last
-mask it solved on the graph.  With S empty that mask is the realization
-itself, so the evaluator's optimum of the same realization costs no second
-solve.
+With Q empty (query_nothing, or random_query_baseline at s = 0) the answer
+is the same on every trial, so the plan solves it once and every response
+returns that read-only cover.  Otherwise, on a bipartite graph, the plan
+prepares S once (its adjacency and a maximum matching), and each response
+adds the realized Q-edges to a copy of that adjacency and warm-starts from
+that matching.  Every other case (a general graph, or S empty) answers with
+`exact_cover_on_mask`, which keeps the last mask it solved on the graph.
+With S empty that mask is the realization itself, so the evaluator's
+optimum of the same realization costs no second solve.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, Optional
 
@@ -172,7 +174,8 @@ class _HalfStochasticPayload:
     """State for strategies answering with an exact cover of realized-Q union S."""
 
     s_mask: np.ndarray  # S, the unqueried edges
-    s_base: Optional[BipartiteBase]  # S prepared once, on a bipartite graph with S nonempty
+    s_base: Optional[BipartiteBase]  # S prepared once, on a bipartite graph with S and Q nonempty
+    fixed: Optional[np.ndarray]  # the one read-only answer when Q is empty
     extra: Any
 
 
@@ -185,15 +188,19 @@ def _half_stochastic_plan(
 ) -> QueryPlan:
     """Plan answered by `_respond_half_stochastic`, with S = the unqueried edges.
 
-    On a bipartite graph S's adjacency and a maximum matching of S are
-    built once here and start every respond call.
+    With Q empty every response is the exact cover of S, the whole graph,
+    so it is solved here once.  Otherwise, on a bipartite graph, S's
+    adjacency and a maximum matching of S are built here once and start
+    every respond call.
     """
     s_mask = ~queried
     sides = bipartition(graph)
-    s_base = None
-    if sides is not None and s_mask.any():
+    s_base = fixed = None
+    if not queried.any():
+        fixed = exact_cover_on_mask(graph, s_mask)[0]
+    elif sides is not None and s_mask.any():
         s_base = BipartiteBase(graph, sides.side, s_mask)
-    payload = _HalfStochasticPayload(s_mask, s_base, extra)
+    payload = _HalfStochasticPayload(s_mask, s_base, fixed, extra)
     return QueryPlan(strategy, graph, params, queried, payload)
 
 
@@ -201,8 +208,10 @@ def _respond_half_stochastic(
     plan: QueryPlan, realized_mask: np.ndarray
 ) -> StrategyAnswer:
     payload: _HalfStochasticPayload = plan.payload
-    if payload.s_base is not None:
-        cover = payload.s_base.solve(realized_mask)[3]
+    if payload.fixed is not None:
+        cover = payload.fixed
+    elif payload.s_base is not None:
+        cover = payload.s_base.cover(realized_mask)
     else:
         # with S empty this is the realization, whose solve the optimum shares
         cover, _size = exact_cover_on_mask(plan.graph, payload.s_mask | realized_mask)
@@ -321,14 +330,8 @@ def _plan_random_query_baseline(graph: Graph, params: StrategyParams) -> QueryPl
 
 
 def _plan_query_nothing(graph: Graph, params: StrategyParams) -> QueryPlan:
-    """The Q = empty half-stochastic plan, whose one answer is solved here."""
     nothing = np.zeros(graph.m, dtype=bool)
-    plan = _half_stochastic_plan("query_nothing", graph, params, nothing)
-    return replace(plan, payload=_respond_half_stochastic(plan, nothing).cover)
-
-
-def _respond_query_nothing(plan: QueryPlan, realized_mask: np.ndarray) -> StrategyAnswer:
-    return StrategyAnswer("cover", cover=plan.payload.copy())
+    return _half_stochastic_plan("query_nothing", graph, params, nothing)
 
 
 def _plan_query_everything(graph: Graph, params: StrategyParams) -> QueryPlan:
@@ -344,7 +347,7 @@ _REGISTRY = {
     "mc_matching": (_plan_mc_matching, _respond_mc_matching, "matching"),
     "one_plus_eps_vc": (_plan_one_plus_eps_vc, _respond_half_stochastic, "cover"),
     "random_query_baseline": (_plan_random_query_baseline, _respond_half_stochastic, "cover"),
-    "query_nothing": (_plan_query_nothing, _respond_query_nothing, "cover"),
+    "query_nothing": (_plan_query_nothing, _respond_half_stochastic, "cover"),
     "query_everything": (_plan_query_everything, _respond_half_stochastic, "cover"),
 }
 

@@ -58,7 +58,6 @@ from stochcover.errors import CapacityError, ParameterError, StructuralError
 from stochcover.evaluator import (
     _TAG_TRIAL,
     EvalReport,
-    _OptimumSolver,
     _ratio_ci95,
     validity_check,
 )
@@ -74,6 +73,7 @@ from stochcover.partition import (
 from stochcover.strategies import (
     QueryPlan,
     StrategyParams,
+    exact_cover_on_mask,
     plan_strategy,
     respond_strategy,
     strategy_kind,
@@ -756,6 +756,37 @@ def reference_general_vc_cover(plan: ReferenceGeneralVcPlan, realized_q: np.ndar
     mask[q_idx[realized_q]] = True
     run = _reference_filling_on_mask(g, mask, plan.residual_budget)
     return plan.committed | run.saturated
+
+
+class _OptimumSolver:
+    """Per-realization exact nu / mu with a one-way infeasibility latch."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        sides = bipartition(graph)
+        self.side = sides.side if sides is not None else None
+        self.infeasible_nu = False
+        self.infeasible_mu = self.side is None  # no general matching solver here
+
+    def solve(self, mask: np.ndarray, need_nu: bool, need_mu: bool) -> tuple[int, int]:
+        """(nu, mu) of one realization; 0 for a value not needed or out of reach.
+
+        On a bipartite graph one exact cover gives both, since nu = mu
+        there (Konig's theorem).  Otherwise mu is out of reach, and nu comes
+        from the exact general cover (reductions, then branch and bound on
+        the kernel) until a mask first exceeds GENERAL_OPT_BUDGET active
+        vertices.
+        """
+        if self.side is not None:
+            size = exact_cover_on_mask(self.graph, mask)[1]
+            return (size if need_nu else 0), (size if need_mu else 0)
+        if not need_nu or self.infeasible_nu:
+            return 0, 0
+        try:
+            return exact_cover_on_mask(self.graph, mask)[1], 0
+        except CapacityError:
+            self.infeasible_nu = True
+            return 0, 0
 
 
 def reference_evaluate_strategies(

@@ -71,13 +71,15 @@ def test_bipartition_is_cached_and_read_only():
 def test_oriented_endpoints_follow_the_side_contents():
     g = Graph(4, ((0, 1), (2, 1), (2, 3)))
     side = bipartition(g).side
-    assert g.oriented_endpoints(side) == ([0, 2, 2], [1, 1, 3], True)
+    assert g.oriented_endpoints(side) == ([0, 2, 2], [1, 1, 3])
     flipped = 1 - side
-    assert g.oriented_endpoints(flipped) == ([1, 1, 3], [0, 2, 2], True)
+    assert g.oriented_endpoints(flipped) == ([1, 1, 3], [0, 2, 2])
     flipped[:] = side  # same array object, new contents
-    assert g.oriented_endpoints(flipped) == ([0, 2, 2], [1, 1, 3], True)
-    # edge (2, 3) has no side-0 endpoint here
-    assert g.oriented_endpoints(np.array([0, 1, 1, 1])) == ([0, 1, 3], [1, 2, 2], False)
+    assert g.oriented_endpoints(flipped) == ([0, 2, 2], [1, 1, 3])
+    # edge (2, 3) has both ends on side 1 here, and (0, 1) both on side 0 below
+    for bad in (np.array([0, 1, 1, 1]), np.array([0, 0, 1, 0])):
+        with pytest.raises(StructuralError):
+            g.oriented_endpoints(bad)
 
 
 @given(small_graphs())

@@ -171,16 +171,18 @@ def test_kernel_returns_the_reference_matching(case):
     assert (base.pair, base.pedge) == (init_pair, init_pedge)
     ref = reference_hk(g, side, mask, **warm_args)
     assert base.match(mask & ~warm) == ref
-    ref_pair, _ref_pedge, ref_size = ref
+    ref_pair, _ref_pedge, _ref_size = ref
     ref_cover = reference_konig_cover(g, side, mask, ref_pair, strict=True)
-    _pair, _pedge, size, cover = base.solve(mask & ~warm)
-    assert size == ref_size
-    assert np.array_equal(cover, ref_cover)
+    assert np.array_equal(base.cover(mask & ~warm), ref_cover)
     assert np.array_equal(konig_cover_from_pairs(g, side, mask, ref_pair), ref_cover)
     cold_pair, _cold_pedge, cold_size = reference_hk(g, side, mask)
+    cold_ref_cover = reference_konig_cover(g, side, mask, cold_pair)
     cold_cover, size = mvc_bipartite_on_mask(g, side, mask)
     assert size == cold_size
-    assert np.array_equal(cold_cover, reference_konig_cover(g, side, mask, cold_pair))
+    assert np.array_equal(cold_cover, cold_ref_cover)
+    # with nothing added, S's own matching answers without a search
+    empty = np.zeros(g.m, dtype=bool)
+    assert np.array_equal(BipartiteBase(g, side, mask).cover(empty), cold_ref_cover)
 
 
 @st.composite
@@ -213,11 +215,10 @@ def test_prebuilt_s_gives_the_reference_cover(case):
     base = BipartiteBase(g, side, s_mask)
     grown = base.adj.plus(g, side, np.flatnonzero(realized).tolist())
     built = _Adjacency(g, side, np.flatnonzero(union).tolist())
-    for attr in ("nbr", "eid", "active", "lefts"):
+    for attr in ("nbr", "eid", "active"):
         assert getattr(grown, attr) == getattr(built, attr)
-    pair, pedge, size, cover = base.solve(realized)
-    assert (pair, pedge, size) == ref
-    assert np.array_equal(cover, ref_cover)
+    assert base.match(realized) == ref
+    assert np.array_equal(base.cover(realized), ref_cover)
     # and the half-stochastic responder answers with it, on the graph's own sides
     own = _sides(g).side
     warm_pair, warm_pedge, _size = reference_hk(g, own, s_mask)

@@ -13,6 +13,7 @@ from stochcover.strategies import (
     STRATEGY_IDS,
     _TAG_MC,
     StrategyParams,
+    exact_cover_on_mask,
     mc_realization_count,
     plan_strategy,
     respond_strategy,
@@ -193,12 +194,20 @@ def test_random_baseline_bounded_degree():
 
 
 def test_query_nothing_is_an_exact_base_cover():
-    g = gen_er(8, 0.4, seed=6).graph
-    plan = plan_strategy("query_nothing", g, StrategyParams(p=0.5))
-    assert plan.total_queries == 0
-    answer = respond_strategy(plan, np.zeros(0, dtype=bool))
-    assert answer.size == brute_min_vertex_cover(g)
-    assert is_valid_cover(g, answer.cover)
+    # a plan that queries nothing, on a general and on a bipartite graph,
+    # answers every trial with one read-only cover: the whole graph's exact one
+    for g in (gen_er(8, 0.4, seed=6).graph, gen_er_bipartite(5, 5, 0.5, seed=2).graph):
+        whole = exact_cover_on_mask(g, np.ones(g.m, dtype=bool))[0]
+        for sid, overrides in (("query_nothing", {}), ("random_query_baseline", {"s": 0})):
+            plan = plan_strategy(sid, g, StrategyParams(p=0.5, overrides=overrides))
+            assert plan.total_queries == 0
+            answers = [respond_strategy(plan, np.zeros(0, dtype=bool)) for _trial in range(3)]
+            cover = answers[0].cover
+            assert all(answer.cover is cover for answer in answers)
+            assert not cover.flags.writeable
+            assert np.array_equal(cover, whole)
+            assert answers[0].size == brute_min_vertex_cover(g)
+            assert is_valid_cover(g, cover)
 
 
 def test_query_everything_is_an_exact_realized_cover():
