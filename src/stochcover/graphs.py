@@ -169,16 +169,14 @@ class EdgePartition:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Two-coloring of the vertices; side[v] is 0 (side A) or 1 (side B)."""
+    """Two-coloring of the vertices; side[v] is 0 (side A) or 1 (side B).
 
-    parent: Graph
+    It holds no reference to its graph: the graph caches it, and a
+    reference back would make a cycle that only the cyclic garbage
+    collector frees.
+    """
+
     side: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.side, dtype=np.int8)
-        if arr.shape != (self.parent.n,):
-            raise StructuralError("bipartition side array has wrong length")
-        object.__setattr__(self, "side", arr)
 
 
 def bipartition(graph: Graph) -> Optional[Bipartition]:
@@ -211,7 +209,7 @@ def _two_color(graph: Graph) -> Optional[Bipartition]:
                         return None
             queue = nxt
     side.flags.writeable = False
-    return Bipartition(graph, side)
+    return Bipartition(side)
 
 
 # --- text format ------------------------------------------------------------

@@ -1,23 +1,34 @@
 """Matching engine: exact bipartite matching, covers, and small exact MVC.
 
-All routines are deterministic: vertices and edges are processed in index
-order, so ties always break toward the lowest index.  The evaluator relies
-on this for bit-reproducible experiments.
+All routines are deterministic: the matchers process vertices and edges
+in index order, so ties always break toward the lowest index, and the
+covers do not depend on ties at all.  The evaluator relies on this for
+bit-reproducible experiments.
 
-The bipartite matcher is a layered augmenting-path search (Hopcroft-Karp).
-Minimum vertex cover on bipartite graphs comes from the matching via the
-alternating-reachability construction (Konig).  `BipartiteBase` is the one
-way into both: it prepares an edge set S, and `match` / `cover` answer for
-S plus more edges, warm-started from S's matching.  `hk_on_mask` and
-`mvc_bipartite_on_mask` are its cold forms, with S the whole mask.  Edges
-are oriented by `Graph.oriented_endpoints`, so a side array must put the
-two ends of every edge on different sides.  On general graphs the exact cover
-first applies the degree-0/1 rules to the whole mask with one worklist pass
-over list adjacencies, in O(n + m); what is left, the kernel, is usually
-empty or tiny, and each of its components goes to a branch and bound over
+Bipartite matchings and covers take two paths.  Callers that read the
+matching itself (the partition marginals, `mc_matching`'s plan and
+respond, VIM's base matcher) need its fixed tie order: `hk_on_mask` and
+`BipartiteBase.match` run a layered augmenting-path search
+(Hopcroft-Karp) over edge-ordered adjacency lists, and return exactly
+the matching that search finds.  Callers that read only a minimum vertex
+cover (`mvc_bipartite_on_mask`, hence every exact bipartite cover in the
+strategies and every trial's optimum, and `BipartiteBase.cover`) take any
+maximum matching: Konig's cover, read off alternating reachability from
+the free left vertices, is the same for all of them (Dulmage-Mendelsohn).
+The cover path keeps right neighbours only, starts a cold search from a
+greedy matching (lowest degree first), stops each layering at the first
+layer that reaches a free right vertex, and reads the cover off the last
+layering, the one that proves the matching maximum.  `BipartiteBase`
+prepares an edge set S once, and `match` / `cover` answer for S plus more
+edges, warm-started from S's matching.  Edges are oriented by
+`Graph.oriented_endpoints`, so a side array must put the two ends of every
+edge on different sides.  On general graphs the exact cover first applies
+the degree-0/1 rules to the whole mask with one worklist pass over list
+adjacencies, in O(n + m); what is left, the kernel, is usually empty or
+tiny, and each of its components goes to a branch and bound over
 neighbour bitmasks.  That handles desk-scale inputs, and a vertex budget
-refuses the rest.  There is deliberately no blossom algorithm here: nothing
-in the experiments needs maximum matching on large general graphs.
+refuses the rest.  There is deliberately no blossom algorithm here:
+nothing in the experiments needs maximum matching on large general graphs.
 """
 from __future__ import annotations
 
@@ -129,12 +140,30 @@ def _mask_edges(graph: Graph, mask: Optional[np.ndarray]) -> Sequence[int]:
     return np.nonzero(np.asarray(mask, dtype=bool))[0].tolist()
 
 
+def _right_rows(
+    graph: Graph,
+    side: np.ndarray,
+    edge_indices: Iterable[int],
+    rows: Optional[list[list[int]]] = None,
+) -> tuple[list[list[int]], list[int]]:
+    """Per left vertex, its right neighbours, and the lefts with at least one.
+
+    The rows are copies of `rows` (empty rows if None) with the right ends
+    of `edge_indices` appended.  No edge ids are kept: a cover reads none.
+    """
+    left, right = graph.oriented_endpoints(side)
+    nbr = [[] for _ in range(graph.n)] if rows is None else [list(row) for row in rows]
+    for e in edge_indices:
+        nbr[left[e]].append(right[e])
+    return nbr, [u for u in range(graph.n) if nbr[u]]
+
+
 def _augment(
     root: int,
     nbr: list[list[int]],
-    eid: list[list[int]],
+    eid: Optional[list[list[int]]],
     pair: list[int],
-    pedge: list[int],
+    pedge: Optional[list[int]],
     dist: list[int],
 ) -> bool:
     """Layered DFS for one augmenting path from `root`, iteratively.
@@ -143,6 +172,7 @@ def _augment(
     (descend into w = pair[v] when dist[w] is one more) would, so it applies
     the same path.  `stack` holds the suspended frames as (left vertex,
     index of the edge being tried); on success those edges become matched.
+    With `pedge` None only `pair` is written, and `eid` is not read.
     """
     stack: list[tuple[int, int]] = []
     u = root
@@ -157,11 +187,12 @@ def _augment(
                 stack.append((u, i))
                 for x, j in stack:
                     v = nbr[x][j]
-                    e = eid[x][j]
                     pair[x] = v
                     pair[v] = x
-                    pedge[x] = e
-                    pedge[v] = e
+                    if pedge is not None:
+                        e = eid[x][j]
+                        pedge[x] = e
+                        pedge[v] = e
                 return True
             if dist[w] == du:
                 break
@@ -182,36 +213,91 @@ def _augment(
         k = len(row)
 
 
+def _layer(
+    nbr: list[list[int]], lefts: list[int], pair: list[int], dist: list[int], shortest: bool
+) -> bool:
+    """Breadth-first layering from the free left vertices; True if it reaches a free right.
+
+    Sets dist[u] for every left u in `lefts`: its layer, the length of the
+    shortest alternating path from a free left counted in matched edges,
+    or _INF if the search did not reach it.  With `shortest` the search
+    stops after the first layer that reaches a free right, which is all a
+    phase's augmenting paths need; without it the search runs to the end,
+    as `_hopcroft_karp`'s fixed tie order requires.  A search that reaches
+    no free right runs to the end either way, so its reach is Konig's
+    alternating reachability.
+    """
+    queue: list[int] = []
+    for u in lefts:
+        if pair[u] < 0:
+            dist[u] = 0
+            queue.append(u)
+        else:
+            dist[u] = _INF
+    found = False
+    limit = _INF
+    for u in queue:  # breadth first: the loop also visits appended vertices
+        du = dist[u] + 1
+        if du > limit:
+            break
+        for v in nbr[u]:
+            w = pair[v]
+            if w < 0:
+                found = True
+            elif dist[w] == _INF:
+                dist[w] = du
+                queue.append(w)
+        if found and shortest:
+            limit = du
+    return found
+
+
 def _hopcroft_karp(adj: _Adjacency, pair: list[int], pedge: list[int]) -> int:
-    """Grow the matching in `pair`/`pedge` in place to maximum; returns its size."""
+    """Grow the matching in `pair`/`pedge` in place to maximum; returns its size.
+
+    Every phase lays out all layers and tries the free lefts in index
+    order, which fixes the matching returned (see `BipartiteBase.match`).
+    """
     nbr = adj.nbr
     eid = adj.eid
     lefts = adj.active
     dist = [_INF] * len(nbr)
     size = sum(1 for u in lefts if pair[u] >= 0)
-    while True:
-        queue: list[int] = []
-        for u in lefts:
-            if pair[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = False
-        for u in queue:  # breadth first: the loop also visits appended vertices
-            du = dist[u] + 1
-            for v in nbr[u]:
-                w = pair[v]
-                if w < 0:
-                    found = True
-                elif dist[w] == _INF:
-                    dist[w] = du
-                    queue.append(w)
-        if not found:
-            return size
+    while _layer(nbr, lefts, pair, dist, shortest=False):
         for u in lefts:
             if pair[u] < 0 and _augment(u, nbr, eid, pair, pedge, dist):
                 size += 1
+    return size
+
+
+def _max_cover(nbr: list[list[int]], lefts: list[int], pair: list[int]) -> tuple[np.ndarray, int]:
+    """Konig's minimum vertex cover, from any maximum matching grown out of `pair`.
+
+    `lefts` lists the left vertices with an edge and `pair` a matching,
+    changed in place.  The free lefts first take their first free
+    neighbour, lowest degree first; then phases of shortest layering and
+    augmentation run until a layering reaches no free right.  That last
+    search proves the matching maximum, and its reach is the alternating
+    reachability of Konig's construction: each matched left u is covered
+    by its partner if the search reached u, else by u itself.  That cover
+    is the same for every maximum matching (Dulmage-Mendelsohn), so it
+    needs no edge ids and no fixed tie order.  Returns (cover, size).
+    """
+    for u in sorted((u for u in lefts if pair[u] < 0), key=lambda u: len(nbr[u])):
+        for v in nbr[u]:
+            if pair[v] < 0:
+                pair[u] = v
+                pair[v] = u
+                break
+    dist = [_INF] * len(pair)
+    while _layer(nbr, lefts, pair, dist, shortest=True):
+        for u in lefts:
+            if pair[u] < 0:
+                _augment(u, nbr, None, pair, None, dist)
+    picks = [pair[u] if dist[u] < _INF else u for u in lefts if pair[u] >= 0]
+    cover = np.zeros(len(pair), dtype=bool)
+    cover[picks] = True
+    return cover, len(picks)
 
 
 def _konig(adj: _Adjacency, pair: Sequence[int], n: int, strict: bool) -> np.ndarray:
@@ -255,7 +341,8 @@ def hk_on_mask(
 
     Returns (pair, pair_edge, size): pair[v] is the matched partner or -1,
     pair_edge[v] the matched edge index or -1.  This is `BipartiteBase`
-    with S the mask.
+    with S the mask, so the matching is Hopcroft-Karp's, in its fixed tie
+    order, for callers that read the matching itself.
     """
     base = BipartiteBase(graph, side, mask)
     return base.pair, base.pedge, base.size
@@ -285,24 +372,32 @@ def mvc_bipartite_on_mask(
 ) -> tuple[np.ndarray, int]:
     """Exact minimum vertex cover of a masked bipartite graph, and its size.
 
-    Hopcroft-Karp, then Konig's construction, both on one adjacency build:
-    `BipartiteBase` with S the mask.
+    Konig's cover, read off the last search of `_max_cover` started from
+    an empty matching, on rows of right neighbours only.  Its caller,
+    `strategies.exact_cover_on_mask` (exact bipartite covers and every
+    trial's optimum), reads only the cover, so any maximum matching serves
+    and Hopcroft-Karp's tie order is not kept; callers that read the
+    matching use `hk_on_mask`.
     """
-    base = BipartiteBase(graph, side, mask)
-    return base.cover(np.zeros(graph.m, dtype=bool)), base.size
+    nbr, lefts = _right_rows(graph, side, _mask_edges(graph, mask))
+    return _max_cover(nbr, lefts, [-1] * graph.n)
 
 
 class BipartiteBase:
     """A fixed edge set S of a bipartite graph, prepared for matchings of S + X.
 
-    Holds S's adjacency and a maximum matching of S (`pair`, `pedge`,
-    `size`), both built once.  `match` adds the edges of X to a copy of the
-    adjacency and warm-starts Hopcroft-Karp from S's matching; `cover` adds
-    Konig's cover.  The adjacency lists are those built from S | X in
-    increasing edge order, so the matching is the one a search over that
-    union, warm-started from S's matching, returns.  With X empty that is
-    S's own matching, which is maximum on S by construction, so it is
-    returned with no search.  Instances are read-only after construction.
+    Holds S's adjacency and Hopcroft-Karp's maximum matching of S (`pair`,
+    `pedge`, `size`), both built once.  `match` is for callers that read
+    the matching (the partition marginals): it adds the edges of X to a
+    copy of the adjacency and warm-starts Hopcroft-Karp from S's matching.
+    The adjacency lists are those built from S | X in increasing edge
+    order, so the matching is the one a search over that union,
+    warm-started from S's matching, returns.  With X empty that is S's own
+    matching, which is maximum on S by construction, so it is returned with
+    no search.  `cover` is for callers that read only the cover (the
+    half-stochastic responder): it runs the cover path from S's matching,
+    which may end on any maximum matching of S | X.  Instances are
+    read-only after construction.
     """
 
     def __init__(self, graph: Graph, side: np.ndarray, s_mask: Optional[np.ndarray]):
@@ -313,16 +408,6 @@ class BipartiteBase:
         self.pedge = [-1] * graph.n
         self.size = _hopcroft_karp(self.adj, self.pair, self.pedge)
 
-    def _match(self, extra_mask: np.ndarray) -> tuple[_Adjacency, list[int], list[int], int]:
-        extra = np.flatnonzero(extra_mask).tolist()
-        if not extra:
-            return self.adj, self.pair, self.pedge, self.size
-        adj = self.adj.plus(self.graph, self.side, extra)
-        pair = list(self.pair)
-        pedge = list(self.pedge)
-        size = _hopcroft_karp(adj, pair, pedge)
-        return adj, pair, pedge, size
-
     def match(self, extra_mask: np.ndarray) -> tuple[list[int], list[int], int]:
         """(pair, pair_edge, size) of a maximum matching of S | extra_mask.
 
@@ -330,13 +415,26 @@ class BipartiteBase:
         when that is already maximum on S | extra_mask it is returned as is;
         with an empty mask the lists are S's own, to be read and not changed.
         """
-        _adj, pair, pedge, size = self._match(extra_mask)
+        extra = np.flatnonzero(extra_mask).tolist()
+        if not extra:
+            return self.pair, self.pedge, self.size
+        adj = self.adj.plus(self.graph, self.side, extra)
+        pair = list(self.pair)
+        pedge = list(self.pedge)
+        size = _hopcroft_karp(adj, pair, pedge)
         return pair, pedge, size
 
     def cover(self, extra_mask: np.ndarray) -> np.ndarray:
-        """Konig's minimum vertex cover of S | extra_mask; the mask must avoid S."""
-        adj, pair, _pedge, _size = self._match(extra_mask)
-        return _konig(adj, pair, self.graph.n, strict=True)
+        """Konig's minimum vertex cover of S | extra_mask; the mask must avoid S.
+
+        `_max_cover` from S's matching, on S's rows plus the right ends of
+        the extra edges in any order: the cover does not depend on which
+        maximum matching the search ends with.
+        """
+        nbr, lefts = _right_rows(
+            self.graph, self.side, np.flatnonzero(extra_mask).tolist(), self.adj.nbr
+        )
+        return _max_cover(nbr, lefts, list(self.pair))[0]
 
 
 # --- exact minimum vertex cover, general graphs -------------------------------

@@ -28,6 +28,14 @@ that matching.  Every other case (a general graph, or S empty) answers with
 `exact_cover_on_mask`, which keeps the last mask it solved on the graph.
 With S empty that mask is the realization itself, so the evaluator's
 optimum of the same realization costs no second solve.
+
+Only the cover is read from these exact bipartite covers, so they take
+any maximum matching (`matching.mvc_bipartite_on_mask` and
+`BipartiteBase.cover`): Konig's cover is the same for all of them.  What
+reads a matching itself needs Hopcroft-Karp's fixed tie order:
+`mc_matching`'s plan (a union of matched edges) and respond call
+`hk_on_mask`, and bipartite_vc's partition builder reads its marginals
+from `BipartiteBase.match`.
 """
 from __future__ import annotations
 
@@ -148,12 +156,14 @@ def _require_bipartite(graph: Graph, strategy: str) -> np.ndarray:
 def exact_cover_on_mask(graph: Graph, mask: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact minimum vertex cover of the edges selected by `mask`, and its size.
 
-    Hopcroft-Karp and Konig from a cold start on a bipartite graph, the
-    reductions and branch and bound of `mvc_general_on_mask` up to
-    GENERAL_OPT_BUDGET active vertices otherwise (above it
-    CapacityError, every time).  The last result is kept on the graph,
-    keyed by the mask's bytes, and the cover is read-only: a response and
-    the evaluator's optimum of one realization share a single solve.
+    On a bipartite graph, `mvc_bipartite_on_mask` from a cold start: its
+    callers (query_everything, query_nothing's plan and every trial's
+    optimum) read only the cover, so it may end on any maximum matching.
+    Otherwise the reductions and branch and bound of `mvc_general_on_mask`
+    up to GENERAL_OPT_BUDGET active vertices (above it CapacityError,
+    every time).  The last result is kept on the graph, keyed by the
+    mask's bytes, and the cover is read-only: a response and the
+    evaluator's optimum of one realization share a single solve.
     """
     key = np.asarray(mask, dtype=bool).tobytes()
     memo = graph.__dict__.get("_exact_cover")

@@ -1,6 +1,8 @@
+import gc
 import io
 import multiprocessing
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -24,7 +26,7 @@ from stochcover.evaluator import (
     validity_check,
     write_csv,
 )
-from stochcover.graphs import Graph, Realization
+from stochcover.graphs import Graph, Realization, bipartition
 from stochcover.instances import (
     gen_clique,
     gen_er,
@@ -350,3 +352,27 @@ def test_workers_spawn_beside_other_threads():
     assert got == expected
     assert multiprocessing.active_children() == []
 
+
+
+def test_a_used_graph_is_freed_by_reference_count():
+    # nothing the graph caches may point back at it: with the cyclic
+    # collector off, a cycle would keep the graph, and a peak memory
+    # reading would then depend on when that collector happens to run
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        graph = gen_layered_counterexample(60, 12, seed=1).graph
+        ref = weakref.ref(graph)
+        assert bipartition(graph) is not None
+        exact_cover_on_mask(graph, rng.bernoulli_mask(4, graph.m, 0.5))
+        params = StrategyParams(p=0.5, seed=3, overrides={"s": 2})
+        plan = plan_strategy("random_query_baseline", graph, params)
+        respond_strategy(plan, np.ones(plan.total_queries, dtype=bool))
+        ids = ["random_query_baseline", "query_everything", "query_nothing"]
+        evaluate_strategies(ids, graph, params, 20, seed=5)
+        del graph, plan
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -228,6 +228,52 @@ def test_prebuilt_s_gives_the_reference_cover(case):
     assert np.array_equal(answer.cover, reference_konig_cover(g, own, union, own_ref[0]))
 
 
+@st.composite
+def cover_path_cases(draw):
+    """Several bipartite pieces and lone vertices under shuffled labels.
+
+    Returns the graph, a writable side array that flips each piece's
+    sides or not, a mask (empty, full or any) and a part S of the mask.
+    """
+    piece = bipartite_graphs(max_left=6, max_right=6, max_edges=18)
+    pieces = draw(st.lists(piece, min_size=1, max_size=3))
+    lone = draw(st.integers(0, 3))
+    n = sum(g.n for g in pieces) + lone
+    labels = draw(st.permutations(range(n)))
+    edges: list[tuple[int, int]] = []
+    side = np.zeros(n, dtype=np.int8)
+    offset = 0
+    for g in pieces:
+        flip = draw(st.booleans())
+        for v, s in enumerate(_sides(g).side):
+            side[labels[offset + v]] = s ^ flip
+        edges += [(labels[u + offset], labels[v + offset]) for u, v in g.edges]
+        offset += g.n
+    graph = Graph(n, tuple(edges))
+    bits = st.lists(st.booleans(), min_size=graph.m, max_size=graph.m)
+    mask = np.array(
+        draw(st.one_of(st.just([False] * graph.m), st.just([True] * graph.m), bits)), dtype=bool
+    )
+    s_mask = mask & np.array(draw(bits), dtype=bool)
+    return graph, side, mask, s_mask
+
+
+@given(cover_path_cases())
+@settings(max_examples=200)
+def test_cover_path_gives_the_reference_cover(case):
+    # the cover path ends with some maximum matching, not the reference's,
+    # and König's cover must still be the reference's bit for bit
+    g, side, mask, s_mask = case
+    ref_pair, _ref_pedge, ref_size = reference_hk(g, side, mask)
+    ref_cover = reference_konig_cover(g, side, mask, ref_pair, strict=True)
+    cover, size = mvc_bipartite_on_mask(g, side, mask)
+    assert cover.dtype == bool and np.array_equal(cover, ref_cover)
+    assert size == ref_size == int(np.count_nonzero(cover))
+    extra = mask & ~s_mask
+    if extra.any():
+        assert np.array_equal(BipartiteBase(g, side, s_mask).cover(extra), ref_cover)
+
+
 @given(general_graphs())
 @settings(max_examples=40)
 def test_mvc_general_matches_brute_force(g):
