@@ -12,9 +12,10 @@ from oracles import (
     reference_konig_cover,
     reference_mvc_general,
 )
+from stochcover import rng
 from stochcover.errors import CapacityError, StructuralError
 from stochcover.graphs import Graph, bipartition
-from stochcover.instances import gen_er
+from stochcover.instances import gen_er, gen_er_bipartite
 from stochcover.matching import (
     BipartiteBase,
     Matching,
@@ -183,6 +184,51 @@ def test_kernel_returns_the_reference_matching(case):
     # with nothing added, S's own matching answers without a search
     empty = np.zeros(g.m, dtype=bool)
     assert np.array_equal(BipartiteBase(g, side, mask).cover(empty), cold_ref_cover)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8, 1.0])
+def test_tie_order_on_the_partition_builders_graph(p):
+    # the partition builder's graph, erb(30,30,0.2) s7, where a free right is
+    # often reachable at several depths: a layering that stops at the first
+    # one changes which maximum matching Hopcroft-Karp returns, which the
+    # small generated graphs above rarely show
+    g = gen_er_bipartite(30, 30, 0.2, seed=7).graph
+    side = _sides(g).side
+    for seed in range(20):
+        mask = rng.bernoulli_mask(seed, g.m, p)
+        assert hk_on_mask(g, side, mask) == reference_hk(g, side, mask)
+        s_mask = mask & rng.bernoulli_mask(1000 + seed, g.m, 0.5)
+        warm_pair, warm_pedge, _size = reference_hk(g, side, s_mask)
+        ref = reference_hk(g, side, mask, init_pair=warm_pair, init_pair_edge=warm_pedge)
+        assert BipartiteBase(g, side, s_mask).match(mask & ~s_mask) == ref
+
+
+@given(warm_started_masks())
+@settings(max_examples=100)
+def test_konig_cover_of_any_matching(case):
+    # a maximum matching of part of the mask need not be maximum on the mask:
+    # the cover is still the reference's, and `strict` refuses exactly when
+    # the matching is not maximum
+    g, side, mask, warm = case
+    pair, _pedge, size = reference_hk(g, side, warm)
+    loose = reference_konig_cover(g, side, mask, pair, strict=False)
+    assert np.array_equal(konig_cover_from_pairs(g, side, mask, pair, strict=False), loose)
+    if size < reference_hk(g, side, mask)[2]:
+        with pytest.raises(StructuralError):
+            konig_cover_from_pairs(g, side, mask, pair, strict=True)
+    else:
+        assert np.array_equal(konig_cover_from_pairs(g, side, mask, pair, strict=True), loose)
+
+
+def test_konig_cover_refuses_a_non_maximum_matching():
+    # path 0-1-2-3 matched on its middle edge only: 0-1-2-3 augments it
+    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    side = _sides(g).side
+    pair = [-1, 2, 1, -1]
+    with pytest.raises(StructuralError):
+        konig_cover_from_pairs(g, side, None, pair, strict=True)
+    cover = konig_cover_from_pairs(g, side, None, pair, strict=False)
+    assert np.array_equal(cover, reference_konig_cover(g, side, None, pair, strict=False))
 
 
 @st.composite
