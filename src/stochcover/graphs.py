@@ -38,8 +38,9 @@ class Graph:
     the text format (vertices 0..hint-1 claimed to form one side); it is
     never trusted, `bipartition` computes sides from the edges.
 
-    Derived data (endpoint arrays, adjacency, the bipartition, oriented
-    endpoints) is computed on first use and cached on the instance.
+    Derived data (endpoint arrays, edge ids by endpoints, adjacency, the
+    bipartition, oriented endpoints) is computed on first use and cached on
+    the instance.
     """
 
     n: int
@@ -71,6 +72,11 @@ class Graph:
     @cached_property
     def edge_v(self) -> np.ndarray:
         return np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.m)
+
+    @cached_property
+    def edge_ids(self) -> dict[tuple[int, int], int]:
+        """Edge index by (lower endpoint, higher endpoint)."""
+        return {(u, v) if u < v else (v, u): e for e, (u, v) in enumerate(self.edges)}
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:

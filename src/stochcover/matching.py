@@ -5,22 +5,27 @@ in index order, so ties always break toward the lowest index, and the
 covers do not depend on ties at all.  The evaluator relies on this for
 bit-reproducible experiments.
 
-Bipartite matchings and covers take two paths.  Callers that read the
-matching itself (the partition marginals, `mc_matching`'s plan and
-respond, VIM's base matcher) need its fixed tie order: `hk_on_mask` and
-`BipartiteBase.match` run a layered augmenting-path search
-(Hopcroft-Karp) over edge-ordered adjacency lists, and return exactly
-the matching that search finds.  Callers that read only a minimum vertex
-cover (`mvc_bipartite_on_mask`, hence every exact bipartite cover in the
-strategies and every trial's optimum, and `BipartiteBase.cover`) take any
-maximum matching: Konig's cover, read off alternating reachability from
-the free left vertices, is the same for all of them (Dulmage-Mendelsohn).
-The cover path keeps right neighbours only, starts a cold search from a
+Every bipartite search reads one row format, each left vertex's right
+neighbours (`_right_rows`), and lays out alternating paths with one
+breadth-first search (`_layer`).  On top of them run two paths.  Callers
+that read the matching itself (the partition marginals, `mc_matching`'s
+plan and respond, VIM's base matcher) need its fixed tie order:
+`hk_on_mask` and `BipartiteBase.match` run a layered augmenting-path
+search (Hopcroft-Karp) over rows in edge order, with every layering laid
+out in full, and return exactly the matching that search finds; its edge
+ids are looked up afterwards, by endpoints.  Callers that read only a
+minimum vertex cover (`mvc_bipartite_on_mask`, hence every exact
+bipartite cover in the strategies and every trial's optimum, and
+`BipartiteBase.cover`) take any maximum matching: Konig's cover, read off
+alternating reachability from the free left vertices, is the same for all
+of them (Dulmage-Mendelsohn).  The cover path starts a cold search from a
 greedy matching (lowest degree first), stops each layering at the first
 layer that reaches a free right vertex, and reads the cover off the last
-layering, the one that proves the matching maximum.  `BipartiteBase`
-prepares an edge set S once, and `match` / `cover` answer for S plus more
-edges, warm-started from S's matching.  Edges are oriented by
+layering, the one that proves the matching maximum;
+`konig_cover_from_pairs` reads it off one full layering from a given
+matching.  `BipartiteBase` prepares an edge set S once, and `match` /
+`cover` answer for S plus more edges, warm-started from S's matching.
+Edges are oriented by
 `Graph.oriented_endpoints`, so a side array must put the two ends of every
 edge on different sides.  On general graphs the exact cover first applies
 the degree-0/1 rules to the whole mask with one worklist pass over list
@@ -32,8 +37,8 @@ nothing in the experiments needs maximum matching on large general graphs.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -80,60 +85,6 @@ class Matching:
 # --- bipartite maximum matching ----------------------------------------------
 
 
-class _Adjacency:
-    """Masked bipartite adjacency, built once and shared by HK and Konig.
-
-    For each left (side-0) vertex u, `nbr[u]` lists the right endpoints and
-    `eid[u]` the edge indices of its edges, both in the order the edges were
-    given, which fixes the tie-breaking.  `active` lists the left vertices
-    with at least one edge.
-    """
-
-    __slots__ = ("nbr", "eid", "active")
-
-    def __init__(self, graph: Graph, side: np.ndarray, edge_indices: Iterable[int]):
-        left, right = graph.oriented_endpoints(side)
-        n = graph.n
-        nbr: list[list[int]] = [[] for _ in range(n)]
-        eid: list[list[int]] = [[] for _ in range(n)]
-        for e in edge_indices:
-            u = left[e]
-            nbr[u].append(right[e])
-            eid[u].append(e)
-        self.nbr = nbr
-        self.eid = eid
-        self.active = [u for u in range(n) if nbr[u]]
-
-    def plus(self, graph: Graph, side: np.ndarray, edge_indices: Sequence[int]) -> "_Adjacency":
-        """This adjacency with more edges, each at its edge-index position.
-
-        For an adjacency built in increasing edge order and new edges it
-        does not hold, the result equals, list for list, the adjacency
-        built from the union in increasing edge order.  Only the rows the
-        new edges touch are copied; this adjacency is left as it was.
-        """
-        left, right = graph.oriented_endpoints(side)
-        nbr = list(self.nbr)
-        eid = list(self.eid)
-        copied: set[int] = set()
-        for e in edge_indices:
-            u = left[e]
-            if u not in copied:
-                copied.add(u)
-                nbr[u] = list(nbr[u])
-                eid[u] = list(eid[u])
-            row = eid[u]
-            i = bisect_left(row, e)
-            row.insert(i, e)
-            nbr[u].insert(i, right[e])
-        out = _Adjacency.__new__(_Adjacency)
-        out.nbr = nbr
-        out.eid = eid
-        fresh = [u for u in copied if not self.nbr[u]]
-        out.active = sorted(self.active + fresh) if fresh else self.active
-        return out
-
-
 def _mask_edges(graph: Graph, mask: Optional[np.ndarray]) -> Sequence[int]:
     if mask is None:
         return range(graph.m)
@@ -149,7 +100,9 @@ def _right_rows(
     """Per left vertex, its right neighbours, and the lefts with at least one.
 
     The rows are copies of `rows` (empty rows if None) with the right ends
-    of `edge_indices` appended.  No edge ids are kept: a cover reads none.
+    of `edge_indices` appended, so edges given in increasing order leave
+    every row in edge order, which fixes Hopcroft-Karp's tie order.  No
+    edge ids are kept; `_pair_edges` looks up the matched ones.
     """
     left, right = graph.oriented_endpoints(side)
     nbr = [[] for _ in range(graph.n)] if rows is None else [list(row) for row in rows]
@@ -158,21 +111,24 @@ def _right_rows(
     return nbr, [u for u in range(graph.n) if nbr[u]]
 
 
-def _augment(
-    root: int,
-    nbr: list[list[int]],
-    eid: Optional[list[list[int]]],
-    pair: list[int],
-    pedge: Optional[list[int]],
-    dist: list[int],
-) -> bool:
+def _pair_edges(graph: Graph, lefts: list[int], pair: list[int]) -> list[int]:
+    """Per vertex, the id of its matched edge in `pair`, or -1."""
+    ids = graph.edge_ids
+    pedge = [-1] * len(pair)
+    for u in lefts:
+        v = pair[u]
+        if v >= 0:
+            pedge[u] = pedge[v] = ids[(u, v) if u < v else (v, u)]
+    return pedge
+
+
+def _augment(root: int, nbr: list[list[int]], pair: list[int], dist: list[int]) -> bool:
     """Layered DFS for one augmenting path from `root`, iteratively.
 
-    Tries edges in adjacency order exactly as the recursive search
-    (descend into w = pair[v] when dist[w] is one more) would, so it applies
-    the same path.  `stack` holds the suspended frames as (left vertex,
-    index of the edge being tried); on success those edges become matched.
-    With `pedge` None only `pair` is written, and `eid` is not read.
+    Tries edges in row order exactly as the recursive search (descend into
+    w = pair[v] when dist[w] is one more) would, so it applies the same
+    path.  `stack` holds the suspended frames as (left vertex, index of the
+    neighbour being tried); on success those edges become matched.
     """
     stack: list[tuple[int, int]] = []
     u = root
@@ -189,10 +145,6 @@ def _augment(
                     v = nbr[x][j]
                     pair[x] = v
                     pair[v] = x
-                    if pedge is not None:
-                        e = eid[x][j]
-                        pedge[x] = e
-                        pedge[v] = e
                 return True
             if dist[w] == du:
                 break
@@ -223,9 +175,10 @@ def _layer(
     or _INF if the search did not reach it.  With `shortest` the search
     stops after the first layer that reaches a free right, which is all a
     phase's augmenting paths need; without it the search runs to the end,
-    as `_hopcroft_karp`'s fixed tie order requires.  A search that reaches
-    no free right runs to the end either way, so its reach is Konig's
-    alternating reachability.
+    as `_hopcroft_karp`'s fixed tie order and `konig_cover_from_pairs`
+    require.  A search that reaches no free right runs to the end either
+    way, and a search run to the end reaches exactly Konig's alternating
+    reachability.
     """
     queue: list[int] = []
     for u in lefts:
@@ -252,20 +205,18 @@ def _layer(
     return found
 
 
-def _hopcroft_karp(adj: _Adjacency, pair: list[int], pedge: list[int]) -> int:
-    """Grow the matching in `pair`/`pedge` in place to maximum; returns its size.
+def _hopcroft_karp(nbr: list[list[int]], lefts: list[int], pair: list[int]) -> int:
+    """Grow the matching in `pair` in place to maximum; returns its size.
 
     Every phase lays out all layers and tries the free lefts in index
-    order, which fixes the matching returned (see `BipartiteBase.match`).
+    order over rows in edge order, which fixes the matching returned (see
+    `BipartiteBase.match`).
     """
-    nbr = adj.nbr
-    eid = adj.eid
-    lefts = adj.active
     dist = [_INF] * len(nbr)
     size = sum(1 for u in lefts if pair[u] >= 0)
     while _layer(nbr, lefts, pair, dist, shortest=False):
         for u in lefts:
-            if pair[u] < 0 and _augment(u, nbr, eid, pair, pedge, dist):
+            if pair[u] < 0 and _augment(u, nbr, pair, dist):
                 size += 1
     return size
 
@@ -293,45 +244,11 @@ def _max_cover(nbr: list[list[int]], lefts: list[int], pair: list[int]) -> tuple
     while _layer(nbr, lefts, pair, dist, shortest=True):
         for u in lefts:
             if pair[u] < 0:
-                _augment(u, nbr, None, pair, None, dist)
+                _augment(u, nbr, pair, dist)
     picks = [pair[u] if dist[u] < _INF else u for u in lefts if pair[u] >= 0]
     cover = np.zeros(len(pair), dtype=bool)
     cover[picks] = True
     return cover, len(picks)
-
-
-def _konig(adj: _Adjacency, pair: Sequence[int], n: int, strict: bool) -> np.ndarray:
-    """Cover from alternating reachability over the adjacency; see konig_cover_from_pairs."""
-    nbr = adj.nbr
-    active = adj.active
-    seen_l = [False] * n
-    seen_r = [False] * n
-    queue = [u for u in active if pair[u] < 0]
-    for u in queue:
-        seen_l[u] = True
-    free = len(queue)
-    reached_r: list[int] = []
-    for u in queue:
-        for v in nbr[u]:
-            if not seen_r[v]:
-                seen_r[v] = True
-                reached_r.append(v)
-                w = pair[v]
-                if w >= 0 and not seen_l[w]:
-                    seen_l[w] = True
-                    queue.append(w)
-    cover = np.zeros(n, dtype=bool)
-    cover[[u for u in active if not seen_l[u]]] = True
-    cover[reached_r] = True
-    if strict:
-        msize = len(active) - free
-        csize = int(np.count_nonzero(cover))
-        if csize != msize:
-            raise StructuralError(
-                f"cover/matching size mismatch ({csize} vs {msize}); "
-                "input matching was not maximum"
-            )
-    return cover
 
 
 def hk_on_mask(
@@ -345,7 +262,7 @@ def hk_on_mask(
     order, for callers that read the matching itself.
     """
     base = BipartiteBase(graph, side, mask)
-    return base.pair, base.pedge, base.size
+    return base.pair, _pair_edges(graph, base.lefts, base.pair), base.size
 
 
 def konig_cover_from_pairs(
@@ -355,16 +272,27 @@ def konig_cover_from_pairs(
     pair: Sequence[int],
     strict: bool = True,
 ) -> np.ndarray:
-    """Vertex cover from a bipartite maximum matching, as a boolean mask.
+    """Vertex cover from a bipartite matching inside the mask, as a boolean mask.
 
-    Alternating reachability from the unmatched left vertices: the cover is
-    (unreached lefts) union (reached rights).  With a maximum matching the
-    cover size equals the matching size; `strict` asserts that.
+    Alternating reachability from the unmatched left vertices, one full
+    `_layer` over right-neighbour rows: the cover is the unreached lefts
+    plus the right neighbours of the reached ones.  It is a minimum cover
+    exactly when the matching is maximum, that is when the search reaches
+    no free right vertex; `strict` refuses any other matching.
     """
     if isinstance(pair, np.ndarray):
         pair = pair.tolist()
-    adj = _Adjacency(graph, side, _mask_edges(graph, mask))
-    return _konig(adj, pair, graph.n, strict)
+    nbr, lefts = _right_rows(graph, side, _mask_edges(graph, mask))
+    dist = [_INF] * graph.n
+    if _layer(nbr, lefts, pair, dist, shortest=False) and strict:
+        raise StructuralError(
+            "an alternating path reaches a free right vertex; "
+            "input matching was not maximum"
+        )
+    cover = np.zeros(graph.n, dtype=bool)
+    cover[[u for u in lefts if dist[u] == _INF]] = True
+    cover[[v for u in lefts if dist[u] < _INF for v in nbr[u]]] = True
+    return cover
 
 
 def mvc_bipartite_on_mask(
@@ -386,27 +314,33 @@ def mvc_bipartite_on_mask(
 class BipartiteBase:
     """A fixed edge set S of a bipartite graph, prepared for matchings of S + X.
 
-    Holds S's adjacency and Hopcroft-Karp's maximum matching of S (`pair`,
-    `pedge`, `size`), both built once.  `match` is for callers that read
-    the matching (the partition marginals): it adds the edges of X to a
-    copy of the adjacency and warm-starts Hopcroft-Karp from S's matching.
-    The adjacency lists are those built from S | X in increasing edge
-    order, so the matching is the one a search over that union,
-    warm-started from S's matching, returns.  With X empty that is S's own
-    matching, which is maximum on S by construction, so it is returned with
-    no search.  `cover` is for callers that read only the cover (the
-    half-stochastic responder): it runs the cover path from S's matching,
-    which may end on any maximum matching of S | X.  Instances are
-    read-only after construction.
+    Holds S's right-neighbour rows and Hopcroft-Karp's maximum matching of
+    S (`pair`, `size`), both built once; `pedge`, the matched edge ids, is
+    looked up on first use.  `match` is for callers that read the matching
+    (the partition marginals): it builds the rows of S | X in increasing
+    edge order and warm-starts Hopcroft-Karp from S's matching, so the
+    matching is the one a search over that union, warm-started from S's
+    matching, returns.  With X empty that is S's own matching, which is
+    maximum on S by construction, so it is returned with no search.
+    `cover` is for callers that read only the cover (the half-stochastic
+    responder): it runs the cover path from S's matching on S's rows plus
+    X's edges, and may end on any maximum matching of S | X.  An `s_mask`
+    of None makes S every edge, so only an empty X avoids it.  Instances
+    are read-only after construction.
     """
 
     def __init__(self, graph: Graph, side: np.ndarray, s_mask: Optional[np.ndarray]):
         self.graph = graph
         self.side = side
-        self.adj = _Adjacency(graph, side, _mask_edges(graph, s_mask))
+        self.s_mask = s_mask
+        self.nbr, self.lefts = _right_rows(graph, side, _mask_edges(graph, s_mask))
         self.pair = [-1] * graph.n
-        self.pedge = [-1] * graph.n
-        self.size = _hopcroft_karp(self.adj, self.pair, self.pedge)
+        self.size = _hopcroft_karp(self.nbr, self.lefts, self.pair)
+
+    @cached_property
+    def pedge(self) -> list[int]:
+        """Per vertex, the id of its edge in S's matching, or -1."""
+        return _pair_edges(self.graph, self.lefts, self.pair)
 
     def match(self, extra_mask: np.ndarray) -> tuple[list[int], list[int], int]:
         """(pair, pair_edge, size) of a maximum matching of S | extra_mask.
@@ -415,14 +349,13 @@ class BipartiteBase:
         when that is already maximum on S | extra_mask it is returned as is;
         with an empty mask the lists are S's own, to be read and not changed.
         """
-        extra = np.flatnonzero(extra_mask).tolist()
-        if not extra:
+        if not extra_mask.any():
             return self.pair, self.pedge, self.size
-        adj = self.adj.plus(self.graph, self.side, extra)
+        union = _mask_edges(self.graph, self.s_mask | extra_mask)
+        nbr, lefts = _right_rows(self.graph, self.side, union)
         pair = list(self.pair)
-        pedge = list(self.pedge)
-        size = _hopcroft_karp(adj, pair, pedge)
-        return pair, pedge, size
+        size = _hopcroft_karp(nbr, lefts, pair)
+        return pair, _pair_edges(self.graph, lefts, pair), size
 
     def cover(self, extra_mask: np.ndarray) -> np.ndarray:
         """Konig's minimum vertex cover of S | extra_mask; the mask must avoid S.
@@ -431,9 +364,8 @@ class BipartiteBase:
         the extra edges in any order: the cover does not depend on which
         maximum matching the search ends with.
         """
-        nbr, lefts = _right_rows(
-            self.graph, self.side, np.flatnonzero(extra_mask).tolist(), self.adj.nbr
-        )
+        extra = _mask_edges(self.graph, extra_mask)
+        nbr, lefts = _right_rows(self.graph, self.side, extra, self.nbr)
         return _max_cover(nbr, lefts, list(self.pair))[0]
 
 
@@ -458,48 +390,51 @@ def _branch_and_bound(nb: list[int]) -> int:
     it joins the cover or all its neighbours do.  Each branch removes at
     least one vertex, so the recursion is at most len(nb) deep.
     """
-    everything = (1 << len(nb)) - 1
-    best_cover, best_size = everything, len(nb)  # every vertex: a cover
+    best = [(1 << len(nb)) - 1, len(nb)]  # every vertex: a cover
+    _search(nb, best[0], 0, 0, best)
+    return best[0]
 
-    def search(live: int, chosen: int, size: int) -> None:
-        nonlocal best_cover, best_size
-        work = list(_bits(live))
-        while work:
-            low = work.pop()
-            if not live & low:
-                continue
-            adj = nb[low.bit_length() - 1] & live
-            if not adj:
-                live ^= low
-            elif not adj & (adj - 1):  # one neighbour: it joins the cover
-                chosen |= adj
-                size += 1
-                live &= ~(adj | low)
-                work.extend(_bits(nb[adj.bit_length() - 1] & live))
-        if not live:
-            if size < best_size:
-                best_cover, best_size = chosen, size
-            return
-        bound = size
-        top = top_deg = 0
-        free = live
-        for low in _bits(live):
-            adj = nb[low.bit_length() - 1] & live
-            d = adj.bit_count()
-            if d > top_deg:
-                top, top_deg = low, d
-            mates = adj & free
-            if free & low and mates:
-                free ^= low | (mates & -mates)  # matched to its lowest free neighbour
-                bound += 1
-        if bound >= best_size:
-            return
-        search(live ^ top, chosen | top, size + 1)
-        adj = nb[top.bit_length() - 1] & live
-        search(live & ~(adj | top), chosen | adj, size + top_deg)
 
-    search(everything, 0, 0)
-    return best_cover
+def _search(nb: list[int], live: int, chosen: int, size: int, best: list[int]) -> None:
+    """One node of `_branch_and_bound`; improves `best`, [cover, size], in place.
+
+    A module-level function rather than a closure, so that a search leaves
+    no reference cycle for the cyclic garbage collector to free.
+    """
+    work = list(_bits(live))
+    while work:
+        low = work.pop()
+        if not live & low:
+            continue
+        adj = nb[low.bit_length() - 1] & live
+        if not adj:
+            live ^= low
+        elif not adj & (adj - 1):  # one neighbour: it joins the cover
+            chosen |= adj
+            size += 1
+            live &= ~(adj | low)
+            work.extend(_bits(nb[adj.bit_length() - 1] & live))
+    if not live:
+        if size < best[1]:
+            best[0], best[1] = chosen, size
+        return
+    bound = size
+    top = top_deg = 0
+    free = live
+    for low in _bits(live):
+        adj = nb[low.bit_length() - 1] & live
+        d = adj.bit_count()
+        if d > top_deg:
+            top, top_deg = low, d
+        mates = adj & free
+        if free & low and mates:
+            free ^= low | (mates & -mates)  # matched to its lowest free neighbour
+            bound += 1
+    if bound >= best[1]:
+        return
+    _search(nb, live ^ top, chosen | top, size + 1, best)
+    adj = nb[top.bit_length() - 1] & live
+    _search(nb, live & ~(adj | top), chosen | adj, size + top_deg, best)
 
 
 def mvc_general_on_mask(

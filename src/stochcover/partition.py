@@ -26,7 +26,7 @@ matching probability over many edges.
 A round prepares once what its draws share.  Draws come in blocks of rows
 from the counter-based streams (`rng.derive_seeds`, `rng.uniform_rows`),
 each row equal to the draw made alone.  Each component prepares its S once
-(an adjacency and a maximum matching that warm-starts every draw).  When
+(a maximum matching that warm-starts every draw).  When
 that matching is also maximum on S | Q, as it always is with Q empty, it is
 every draw's answer, so such a round costs one matching whatever its sample
 count; a greedy component with Q empty likewise answers once.
@@ -177,9 +177,9 @@ def heavy_edges(
 class _ComponentRunner:
     """Execution state for one policy component, for one `_policy_draws` call.
 
-    On the bipartite routine, S is prepared once as a `BipartiteBase`: its
-    adjacency and a maximum matching of S, which warm-starts every draw's
-    Hopcroft-Karp on S plus the realized Q-edges.  When that matching is
+    On the bipartite routine, S is prepared once as a `BipartiteBase`: a
+    maximum matching of S, which warm-starts every draw's Hopcroft-Karp on
+    S plus the realized Q-edges.  When that matching is
     also maximum on all of S | Q (always so with Q empty), it is maximum on
     every draw's view, where the search returns it unchanged; it is then
     the answer to every draw (`fixed`) and no draw is searched.  A greedy

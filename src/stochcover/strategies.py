@@ -22,12 +22,12 @@ query_everything (S empty) and query_nothing (Q empty) are its two ends.
 With Q empty (query_nothing, or random_query_baseline at s = 0) the answer
 is the same on every trial, so the plan solves it once and every response
 returns that read-only cover.  Otherwise, on a bipartite graph, the plan
-prepares S once (its adjacency and a maximum matching), and each response
-adds the realized Q-edges to a copy of that adjacency and warm-starts from
-that matching.  Every other case (a general graph, or S empty) answers with
-`exact_cover_on_mask`, which keeps the last mask it solved on the graph.
-With S empty that mask is the realization itself, so the evaluator's
-optimum of the same realization costs no second solve.
+prepares S once (its right-neighbour rows and a maximum matching), and
+each response adds the realized Q-edges to a copy of those rows and
+warm-starts from that matching.  Every other case (a general graph, or S
+empty) answers with `exact_cover_on_mask`, which keeps the last mask it
+solved on the graph.  With S empty that mask is the realization itself,
+so the evaluator's optimum of the same realization costs no second solve.
 
 Only the cover is read from these exact bipartite covers, so they take
 any maximum matching (`matching.mvc_bipartite_on_mask` and
@@ -200,8 +200,8 @@ def _half_stochastic_plan(
 
     With Q empty every response is the exact cover of S, the whole graph,
     so it is solved here once.  Otherwise, on a bipartite graph, S's
-    adjacency and a maximum matching of S are built here once and start
-    every respond call.
+    right-neighbour rows and a maximum matching of S are built here once
+    and start every respond call.
     """
     s_mask = ~queried
     sides = bipartition(graph)

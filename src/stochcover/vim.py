@@ -359,9 +359,7 @@ def independence_stats(
     """Empirical covariance of (v proposes) and (u in M_B) per non-adjacent pair."""
     if stats is None:
         stats = run_vim_trials(graph, alg, p, trials, seed)
-    adj = {
-        (min(u, v), max(u, v)) for u, v in graph.edges
-    }
+    adj = graph.edge_ids
     out: list[tuple[int, int, float]] = []
     for i, v in enumerate(stats.a_vertices):
         for j, u in enumerate(stats.b_vertices):
