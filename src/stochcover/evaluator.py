@@ -284,10 +284,11 @@ def evaluate_strategies(
     """Evaluate several strategies on shared per-trial realizations.
 
     All strategies see identical realizations, and per-trial optima are
-    solved once and shared, so ratio differences between rows are not
-    Monte-Carlo artifacts.  `threads` is the number of worker processes
-    the trial blocks are spread over; at 1 they run in this process.  The
-    reports do not depend on it.
+    solved once and shared, so the rows share their sampling noise: a
+    ratio difference between rows has a smaller Monte-Carlo error than
+    independent runs would give it, but not none.  `threads` is the number
+    of worker processes the trial blocks are spread over; at 1 they run in
+    this process.  The reports do not depend on it.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")

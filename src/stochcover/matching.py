@@ -512,22 +512,3 @@ def mvc_general_on_mask(
     out[cover] = True
     return out, len(cover)
 
-
-# --- greedy maximal matching --------------------------------------------------
-
-
-def greedy_matching_edges(graph: Graph, order: Iterable[int]) -> list[int]:
-    """Edges taken greedily in the given order, each when both ends are free.
-
-    The one greedy-matching loop of the package: `order` may be any sequence
-    of distinct edge indices, e.g. the edges of a mask.
-    """
-    used = [False] * graph.n
-    edges = graph.edges
-    picked: list[int] = []
-    for e in order:
-        u, v = edges[e]
-        if not used[u] and not used[v]:
-            used[u] = used[v] = True
-            picked.append(e)
-    return picked

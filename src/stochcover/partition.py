@@ -29,7 +29,10 @@ each row equal to the draw made alone.  Each component prepares its S once
 (a maximum matching that warm-starts every draw).  When
 that matching is also maximum on S | Q, as it always is with Q empty, it is
 every draw's answer, so such a round costs one matching whatever its sample
-count; a greedy component with Q empty likewise answers once.
+count.
+
+The builder is defined for bipartite graphs only: it refuses any other
+graph with ApplicabilityError, as the strategies built on it do.
 """
 from __future__ import annotations
 
@@ -40,9 +43,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import ApplicabilityError, ParameterError, StructuralError
 from .graphs import EdgePartition, Graph, bipartition
-from .matching import BipartiteBase, greedy_matching_edges, hk_on_mask
+from .matching import BipartiteBase
 from . import rng
 
 __all__ = [
@@ -63,8 +66,7 @@ _TAG_SAMPLE = 11
 _TAG_COMPONENT = 12
 _TAG_ROUND = 13
 
-ROUTINE_BIPARTITE = "bipartite_max"
-ROUTINE_GREEDY = "greedy_maximal"
+ROUTINE_BIPARTITE = "bipartite_max"  # the one matching routine an artifact may name
 
 MAX_SWAPS = 12  # cap on adopted replacements per build
 # cap on the edge cells (draws x edges) of one block of shared draws; larger
@@ -84,7 +86,6 @@ class PolicyComponent:
     """
 
     in_q: tuple[bool, ...]
-    routine: str = ROUTINE_BIPARTITE
     exclude: frozenset[int] = frozenset()
     round_index: int = 0
 
@@ -110,8 +111,6 @@ class MatchingPolicy:
                 raise StructuralError(f"component weight {w} outside (0, 1]")
             if len(comp.in_q) != self.parent.m:
                 raise StructuralError("component mask length mismatch")
-            if comp.routine not in (ROUTINE_BIPARTITE, ROUTINE_GREEDY):
-                raise StructuralError(f"unknown routine {comp.routine!r}")
 
     def with_exclusions(self, extra: frozenset[int]) -> "MatchingPolicy":
         comps = tuple(
@@ -177,31 +176,22 @@ def heavy_edges(
 class _ComponentRunner:
     """Execution state for one policy component, for one `_policy_draws` call.
 
-    On the bipartite routine, S is prepared once as a `BipartiteBase`: a
-    maximum matching of S, which warm-starts every draw's Hopcroft-Karp on
-    S plus the realized Q-edges.  When that matching is
-    also maximum on all of S | Q (always so with Q empty), it is maximum on
-    every draw's view, where the search returns it unchanged; it is then
-    the answer to every draw (`fixed`) and no draw is searched.  A greedy
-    component with Q empty sees the same edges on every draw, so it too
-    answers once.  Answers are tuples, so a shared answer cannot be mutated.
+    S is prepared once as a `BipartiteBase`: a maximum matching of S, which
+    warm-starts every draw's Hopcroft-Karp on S plus the realized Q-edges.
+    When that matching is also maximum on all of S | Q (always so with Q
+    empty), it is maximum on every draw's view, where the search returns it
+    unchanged; it is then the answer to every draw (`fixed`) and no draw is
+    searched.  Answers are tuples, so a shared answer cannot be mutated.
     """
 
-    def __init__(self, graph: Graph, side: Optional[np.ndarray], comp: PolicyComponent):
-        self.graph = graph
-        self.s_mask = comp.s_mask()
-        self.in_q = ~self.s_mask
+    def __init__(self, graph: Graph, side: np.ndarray, comp: PolicyComponent):
+        s_mask = comp.s_mask()
+        self.in_q = ~s_mask
         self.exclude = comp.exclude
-        self.base: Optional[BipartiteBase] = None
+        self.base = BipartiteBase(graph, side, s_mask)
         self.fixed: Optional[tuple[int, ...]] = None
-        if comp.routine == ROUTINE_BIPARTITE:
-            if side is None:
-                raise StructuralError("bipartite routine on a graph with no sides")
-            self.base = BipartiteBase(graph, side, self.s_mask)
-            if self.base.match(self.in_q)[2] == self.base.size:
-                self.fixed = self._output(self.base.pedge)
-        elif not self.in_q.any():
-            self.fixed = self._output(greedy_matching_edges(graph, range(graph.m)))
+        if self.base.match(self.in_q)[2] == self.base.size:
+            self.fixed = self._output(self.base.pedge)
 
     def _output(self, matched: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted({e for e in matched if e >= 0} - self.exclude))
@@ -210,17 +200,13 @@ class _ComponentRunner:
         """Matched edge indices on this component's view of the shared draw."""
         if self.fixed is not None:
             return self.fixed
-        realized = sample_mask & self.in_q
-        if self.base is not None:
-            return self._output(self.base.match(realized)[1])
-        idx = np.flatnonzero(self.s_mask | realized).tolist()
-        return self._output(greedy_matching_edges(self.graph, idx))
+        return self._output(self.base.match(sample_mask & self.in_q)[1])
 
 
 def _policy_draws(
     policy: MatchingPolicy,
     graph: Graph,
-    side: Optional[np.ndarray],
+    side: np.ndarray,
     p: float,
     t: int,
     seed: int,
@@ -248,13 +234,11 @@ def _policy_draws(
             yield mask, runners[k].run(mask)
 
 
-def _side_for(graph: Graph, policy: MatchingPolicy) -> Optional[np.ndarray]:
-    if any(c.routine == ROUTINE_BIPARTITE for _w, c in policy.components):
-        sides = bipartition(graph)
-        if sides is None:
-            raise StructuralError("bipartite matching routine on an odd cycle")
-        return sides.side
-    return None
+def _bipartite_side(graph: Graph) -> np.ndarray:
+    sides = bipartition(graph)
+    if sides is None:
+        raise ApplicabilityError("the partition builder requires a bipartite graph")
+    return sides.side
 
 
 def estimate_marginals(
@@ -268,38 +252,30 @@ def estimate_marginals(
     """Per-edge matching probabilities q estimated from t shared draws.
 
     Each component interprets a draw through its own queried mask, so the
-    same call serves plain policies and cross-round mixtures.
+    same call serves plain policies and cross-round mixtures.  Raises
+    ApplicabilityError on a non-bipartite graph.
     """
     if partition.parent is not graph:
         raise StructuralError("partition does not belong to this graph")
     if t < 1:
         raise ParameterError("sample count must be positive")
+    side = _bipartite_side(graph)
     if graph.m == 0:
         return np.zeros(0, dtype=np.float64)
     counts = [0] * graph.m
-    for _mask, matched in _policy_draws(policy, graph, _side_for(graph, policy), p, t, seed):
+    for _mask, matched in _policy_draws(policy, graph, side, p, t, seed):
         for e in matched:
             counts[e] += 1
     return np.array(counts, dtype=np.int64) / float(t)
 
 
-def _mu_hat(graph: Graph, side: Optional[np.ndarray]) -> float:
-    """Maximum matching size when bipartite, greedy maximal size otherwise."""
-    if graph.m == 0:
-        return 0.0
-    if side is not None:
-        _pair, _pedge, size = hk_on_mask(graph, side)
-        return float(size)
-    return float(len(greedy_matching_edges(graph, range(graph.m))))
-
-
 def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
-    """Grow Q until the heavy S-edges stop mattering (or a cap is reached)."""
+    """Grow Q until the heavy S-edges stop mattering (or a cap is reached).
+
+    Raises ApplicabilityError on a non-bipartite graph.
+    """
     eps, p = cfg.epsilon, cfg.p
-    sides = bipartition(graph)
-    side = sides.side if sides is not None else None
-    routine = ROUTINE_BIPARTITE if side is not None else ROUTINE_GREEDY
-    mu = _mu_hat(graph, side)
+    mu = float(BipartiteBase(graph, _bipartite_side(graph), None).size)
     margin = ((eps * p) ** 10) * mu
     t = cfg.resolved_samples(graph.n)
     tau = heavy_threshold(eps, p)
@@ -307,11 +283,7 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
     degree_cap = cfg.max_rounds * per_round_cap
 
     def fresh(partition: EdgePartition, idx: int) -> MatchingPolicy:
-        comp = PolicyComponent(
-            in_q=tuple(bool(x) for x in partition.in_q),
-            routine=routine,
-            round_index=idx,
-        )
+        comp = PolicyComponent(in_q=tuple(bool(x) for x in partition.in_q), round_index=idx)
         return MatchingPolicy(graph, ((1.0, comp),))
 
     rounds: list[dict] = []
@@ -422,7 +394,14 @@ def _mask_to_bits(mask) -> str:
 
 
 def _bits_to_mask(bits: str) -> np.ndarray:
+    if bits.strip("01"):
+        raise StructuralError(f"mask {bits!r} is not a string of 0s and 1s")
     return np.array([c == "1" for c in bits], dtype=bool)
+
+
+# the lines `outcome_to_text` writes before its component lines, by key
+_HEADER_KEYS = ("n", "termination", "rounds_used", "mu_hat", "objective_trace", "in_q", "components")
+_TERMINATIONS = ("case1", "round_cap", "degree_cap")
 
 
 def outcome_to_text(outcome: PartitionOutcome) -> str:
@@ -440,52 +419,68 @@ def outcome_to_text(outcome: PartitionOutcome) -> str:
         excl = ",".join(str(e) for e in sorted(c.exclude)) if c.exclude else "-"
         # the third field is reserved: always "-", which keeps v1 artifacts unchanged
         buf.write(
-            f"component {w!r} {c.routine} - {excl} {c.round_index} "
+            f"component {w!r} {ROUTINE_BIPARTITE} - {excl} {c.round_index} "
             + _mask_to_bits(c.in_q)
             + "\n"
         )
     return buf.getvalue()
 
 
+def _component_from_text(rest: str) -> tuple[float, PolicyComponent]:
+    """One component line after its key: weight, routine, reserved, exclude, round, mask."""
+    fields = rest.split(" ")
+    if len(fields) != 6:
+        raise StructuralError(f"component line has {len(fields)} fields, expected 6")
+    w, routine, reserved, excl, ridx, bits = fields
+    if routine != ROUTINE_BIPARTITE:
+        raise StructuralError(f"component routine is {routine!r}, expected {ROUTINE_BIPARTITE!r}")
+    if reserved != "-":
+        raise StructuralError(f"reserved component field is {reserved!r}, expected '-'")
+    exclude = frozenset() if excl == "-" else frozenset(int(x) for x in excl.split(","))
+    return float(w), PolicyComponent(
+        in_q=tuple(_bits_to_mask(bits).tolist()), exclude=exclude, round_index=int(ridx)
+    )
+
+
 def outcome_from_text(text: str, graph: Graph) -> PartitionOutcome:
+    """Read an `outcome_to_text` artifact of `graph`; StructuralError if it is malformed."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "partition-artifact v1":
         raise StructuralError("not a partition artifact")
     fields: dict[str, str] = {}
-    comps: list[tuple[float, PolicyComponent]] = []
+    comp_lines: list[str] = []
     for ln in lines[1:]:
-        key, rest = ln.split(" ", 1)
+        key, _sep, rest = ln.partition(" ")
         if key == "component":
-            w, routine, reserved, excl, ridx, bits = rest.split(" ")
-            if reserved != "-":
-                raise StructuralError(f"reserved component field is {reserved!r}, expected '-'")
-            comps.append(
-                (
-                    float(w),
-                    PolicyComponent(
-                        in_q=tuple(c == "1" for c in bits),
-                        routine=routine,
-                        exclude=frozenset()
-                        if excl == "-"
-                        else frozenset(int(x) for x in excl.split(",")),
-                        round_index=int(ridx),
-                    ),
-                )
-            )
+            comp_lines.append(rest)
+        elif key in fields:
+            raise StructuralError(f"artifact repeats its {key} line")
         else:
             fields[key] = rest
-    n_m = fields["n"].split()  # the header line reads "n <n> m <m>"
-    if int(n_m[0]) != graph.n or int(n_m[2]) != graph.m:
+    missing = [k for k in _HEADER_KEYS if k not in fields]
+    if missing:
+        raise StructuralError("artifact has no " + ", ".join(missing) + " line")
+    if fields["n"].split() != [str(graph.n), "m", str(graph.m)]:  # "n <n> m <m>"
         raise StructuralError("artifact does not match this graph")
-    partition = EdgePartition(graph, _bits_to_mask(fields["in_q"]))
-    trace = tuple(float(x) for x in fields["objective_trace"].split()) if fields.get(
-        "objective_trace", ""
-    ).strip() else ()
+    if fields["termination"] not in _TERMINATIONS:
+        raise StructuralError(f"unknown termination {fields['termination']!r}")
+    try:
+        comps = tuple(_component_from_text(rest) for rest in comp_lines)
+        announced = int(fields["components"])
+        trace = tuple(float(x) for x in fields["objective_trace"].split())
+        rounds_used = int(fields["rounds_used"])
+        mu_hat = float(fields["mu_hat"])
+    except StructuralError:
+        raise
+    except ValueError as exc:  # a number that does not parse
+        raise StructuralError(f"malformed partition artifact: {exc}") from exc
+    if announced != len(comps):
+        raise StructuralError(f"artifact announces {announced} components but has {len(comps)}")
     return PartitionOutcome(
-        partition=partition,
-        policy=MatchingPolicy(graph, tuple(comps)),
+        partition=EdgePartition(graph, _bits_to_mask(fields["in_q"])),
+        policy=MatchingPolicy(graph, comps),
         objective_trace=trace,
         termination=fields["termination"],
-        rounds_used=int(fields["rounds_used"]),
-        mu_hat=float(fields["mu_hat"]),
+        rounds_used=rounds_used,
+        mu_hat=mu_hat,
     )

@@ -1,7 +1,8 @@
 """Proposal-based matchings with near-independent vertex match events.
 
-Fix a bipartition into a proposing side A and an accepting side B, and any
-deterministic base matching procedure.  For an A-vertex v, the probability
+Fix a bipartition into a proposing side A and an accepting side B, and a
+deterministic base matching procedure: Hopcroft-Karp in its fixed tie order
+(`ALG_HK`).  For an A-vertex v, the probability
 that a given incident edge ends up matched depends on the realization of
 v's own edges and (through the procedure) on everything else; conditioning
 on v's edges alone gives a proposal row p_e = Pr[e in M_A | status of v's
@@ -16,7 +17,7 @@ stays within a (1 - 1/e) factor of the base procedure's in expectation.
 
 Conditional rows are exact: a weighted enumeration of the non-v edges in
 v's connected component (other components cannot influence v's edges
-because the base procedures all act component by component).  A-vertices
+because the base matcher acts component by component).  A-vertices
 are side 0 of the graph's bipartition.
 """
 from __future__ import annotations
@@ -29,12 +30,11 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, StructuralError
 from .graphs import Graph, Realization, bipartition
-from .matching import Matching, greedy_matching_edges, hk_on_mask
+from .matching import Matching, hk_on_mask
 from . import rng
 
 __all__ = [
     "ALG_HK",
-    "ALG_GREEDY",
     "EdgeStatusProfile",
     "ProposalRow",
     "ProposalTable",
@@ -51,8 +51,7 @@ __all__ = [
 _TAG_TRIAL = 22
 _TAG_PROPOSE = 23
 
-ALG_HK = "hk_fixed"
-ALG_GREEDY = "greedy_maximal"
+ALG_HK = "hk_fixed"  # the one base matcher; `alg` parameters accept only it
 
 _ROW_TOL = 1e-9
 
@@ -139,24 +138,22 @@ def run_base_matcher(
     alg: str, graph: Graph, mask: np.ndarray, side: Optional[np.ndarray] = None
 ) -> set[int]:
     """Matched edge indices of the deterministic base procedure on a mask."""
-    if alg == ALG_GREEDY:
-        return set(greedy_matching_edges(graph, np.nonzero(mask)[0].tolist()))
+    if alg != ALG_HK:
+        raise ParameterError(f"unknown base matcher {alg!r}")
     if side is None:
         sides = bipartition(graph)
         if sides is None:
             raise StructuralError(f"{alg} needs a bipartite graph")
         side = sides.side
-    if alg == ALG_HK:
-        _pair, pedge, _size = hk_on_mask(graph, side, mask)
-        return {e for e in pedge if e >= 0}
-    raise ParameterError(f"unknown base matcher {alg!r}")
+    _pair, pedge, _size = hk_on_mask(graph, side, mask)
+    return {e for e in pedge if e >= 0}
 
 
 class ExactRowCache:
     """Exact conditional rows by weighted enumeration, memoized per profile.
 
     Enumerates only the non-v edges inside v's connected component; the base
-    procedures are component-local, so edges elsewhere cannot change whether
+    matcher is component-local, so edges elsewhere cannot change whether
     one of v's edges gets matched.  Enumerations above `max_bits` free edges
     raise CapacityError.
     """
@@ -166,12 +163,10 @@ class ExactRowCache:
         self.graph = graph
         self.p = p
         self.max_bits = max_bits
-        self.side: Optional[np.ndarray] = None
-        if alg != ALG_GREEDY:
-            sides = bipartition(graph)
-            if sides is None:
-                raise StructuralError(f"{alg} needs a bipartite graph")
-            self.side = sides.side
+        sides = bipartition(graph)
+        if sides is None:
+            raise StructuralError(f"{alg} needs a bipartite graph")
+        self.side = sides.side
         self._component = self._label_components(graph)
         self._rows: dict[tuple[int, tuple[bool, ...]], ProposalRow] = {}
 

@@ -64,7 +64,6 @@ from stochcover.evaluator import (
 from stochcover.graphs import EdgePartition, Graph, Realization, bipartition
 from stochcover.matching import hk_on_mask
 from stochcover.partition import (
-    ROUTINE_BIPARTITE,
     _TAG_COMPONENT,
     _TAG_SAMPLE,
     MatchingPolicy,
@@ -531,21 +530,10 @@ def reference_mvc_general(
     return out, len(cover)
 
 
-def _reference_greedy(graph: Graph, order: Sequence[int]) -> list[int]:
-    used = [False] * graph.n
-    picked = []
-    for e in order:
-        u, v = graph.edges[e]
-        if not used[u] and not used[v]:
-            used[u] = used[v] = True
-            picked.append(e)
-    return picked
-
-
 def reference_policy_draws(
     policy: MatchingPolicy,
     graph: Graph,
-    side: Optional[np.ndarray],
+    side: np.ndarray,
     p: float,
     t: int,
     seed: int,
@@ -554,12 +542,9 @@ def reference_policy_draws(
 
     Each draw is its own `rng.bernoulli_mask`; the picked component matches
     S plus the draw from scratch, warm-started from a maximum matching of
-    its S (or greedily in edge order), and drops its excluded edges.
+    its S, and drops its excluded edges.
     """
-    warm = []
-    for _w, comp in policy.components:
-        s_mask = ~np.asarray(comp.in_q, dtype=bool)
-        warm.append(reference_hk(graph, side, s_mask) if comp.routine == ROUTINE_BIPARTITE else None)
+    warm = [reference_hk(graph, side, ~np.asarray(c.in_q, dtype=bool)) for _w, c in policy.components]
     cum = np.cumsum([w for w, _c in policy.components])
     for s in range(t):
         mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_SAMPLE, s), graph.m, p)
@@ -569,25 +554,17 @@ def reference_policy_draws(
             k = int(np.searchsorted(cum, u, side="right"))
         comp = policy.components[k][1]
         idx = np.nonzero(~np.asarray(comp.in_q, dtype=bool) | mask)[0].tolist()
-        if warm[k] is not None:
-            pair, pedge, _size = warm[k]
-            _p, out, _sz = reference_hk(
-                graph, side, edge_indices=idx, init_pair=pair, init_pair_edge=pedge
-            )
-            matched = {e for e in out if e >= 0}
-        else:
-            matched = set(_reference_greedy(graph, idx))
-        yield mask, sorted(matched - comp.exclude)
+        pair, pedge, _size = warm[k]
+        _p, out, _sz = reference_hk(graph, side, edge_indices=idx, init_pair=pair, init_pair_edge=pedge)
+        yield mask, sorted({e for e in out if e >= 0} - comp.exclude)
 
 
 def reference_estimate_marginals(
     policy: MatchingPolicy, graph: Graph, p: float, t: int, seed: int
 ) -> np.ndarray:
     """Per-edge matching frequencies over `reference_policy_draws`."""
-    sides = bipartition(graph)
-    side = sides.side if sides is not None else None
     counts = np.zeros(graph.m, dtype=np.int64)
-    for _mask, matched in reference_policy_draws(policy, graph, side, p, t, seed):
+    for _mask, matched in reference_policy_draws(policy, graph, bipartition(graph).side, p, t, seed):
         if matched:
             counts[matched] += 1
     return counts / float(t)

@@ -226,3 +226,17 @@ def test_partition_stdout_mode(tmp_path, capsys):
     )
     assert code == 0
     assert stdout.startswith("partition-artifact v1\n")
+
+
+def test_partition_refuses_a_non_bipartite_graph(tmp_path, capsys):
+    gfile = tmp_path / "triangle.txt"
+    run_cli(capsys, "generate", "--family", "clique", "--n", "3", "--out", str(gfile))
+    pfile = tmp_path / "part.txt"
+    code, stdout, stderr = run_cli(
+        capsys, "partition", "--graph", str(gfile), "--epsilon", "0.5", "--p", "0.5",
+        "--samples", "200", "--out", str(pfile),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: the partition builder requires a bipartite graph\n"
+    assert not pfile.exists()

@@ -20,7 +20,6 @@ from stochcover.instances import gen_er, gen_er_bipartite
 from stochcover.matching import (
     BipartiteBase,
     Matching,
-    greedy_matching_edges,
     hk_on_mask,
     konig_cover_from_pairs,
     mvc_bipartite_on_mask,
@@ -438,9 +437,3 @@ def test_petersen_cover_size():
     g = Graph(10, tuple(outer + spokes + inner))
     cover, _size = mvc_general_on_mask(g, None)
     assert int(cover.sum()) == 6
-
-
-def test_greedy_maximal_is_maximal_and_ordered():
-    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    assert greedy_matching_edges(g, (0, 1, 2)) == [0, 2]
-    assert greedy_matching_edges(g, (1, 0, 2)) == [1]

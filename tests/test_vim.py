@@ -9,7 +9,6 @@ from stochcover.graphs import Graph, Realization, bipartition
 from stochcover.instances import gen_clique, gen_er_bipartite, gen_perfect_matching
 from stochcover.matching import Matching, hk_on_mask
 from stochcover.vim import (
-    ALG_GREEDY,
     ALG_HK,
     EdgeStatusProfile,
     ExactRowCache,
@@ -70,14 +69,8 @@ def test_base_matchers_agree_on_size():
         mask = np.array([(bits >> e) & 1 == 1 for e in range(g.m)])
         _p, _pe, target = hk_on_mask(g, side, mask)
         assert len(run_base_matcher(ALG_HK, g, mask, side)) == target
-        greedy = run_base_matcher(ALG_GREEDY, g, mask)
-        assert len(greedy) <= target
-
-
-def test_greedy_matcher_takes_first_available():
-    g = Graph(3, ((0, 1), (0, 2), (1, 2)))
-    assert run_base_matcher(ALG_GREEDY, g, full_mask(g)) == {0}
-    assert run_base_matcher(ALG_GREEDY, g, np.array([False, True, True])) == {1}
+    with pytest.raises(ParameterError):
+        run_base_matcher("greedy_maximal", g, full_mask(g), side)
 
 
 def test_hk_matcher_requires_bipartite():
@@ -139,8 +132,8 @@ def test_exact_rows_are_memoized():
 
 
 def test_exact_row_capacity_limit():
-    g = gen_clique(8).graph  # any vertex leaves 21 free edges in its component
-    cache = ExactRowCache(ALG_GREEDY, g, 0.5)
+    g = gen_er_bipartite(6, 6, 1.0).graph  # K(6,6): any vertex leaves 30 free edges
+    cache = ExactRowCache(ALG_HK, g, 0.5)
     with pytest.raises(CapacityError):
         cache.row(profile_of(g, 0, full_mask(g)))
 
