@@ -1,16 +1,20 @@
-"""Every strategy's CSV output, pinned byte for byte.
+"""Every strategy's CSV output and a set of partition artifacts, pinned byte for byte.
 
 `golden_rows.csv` holds the rows of the cases below in every column but
 `wall_ms`, which is timing.  The evaluation must write exactly those bytes
-in one process and on three worker processes.  The file is the program's
-output as it stood when the file was written, by
+in one process and on three worker processes.  `golden_partitions.txt`
+holds, for each of PARTITION_CASES, the builder's `outcome_to_text`
+artifact and its sorted diagnostics.  Both files are the program's output
+as it stood when they were written, by
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_rows.csv
+    PYTHONPATH=src python tests/test_golden.py partitions > tests/golden_partitions.txt
 
-A change to it is a change to what the program reports, and has to be
+A change to either is a change to what the program reports, and has to be
 argued as one.
 """
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -19,9 +23,11 @@ import pytest
 
 from stochcover.evaluator import CSV_COLUMNS, evaluate_strategies
 from stochcover.instances import from_family
+from stochcover.partition import PartitionConfig, build_partition, outcome_to_text
 from stochcover.strategies import STRATEGY_IDS, StrategyParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden_rows.csv"
+GOLDEN_PARTITIONS = Path(__file__).resolve().parent / "golden_partitions.txt"
 
 GENERAL_IDS = ("general_vc", "random_query_baseline", "query_nothing", "query_everything")
 
@@ -76,7 +82,68 @@ def test_rows_match_the_golden_file(threads):
     assert golden_text(threads) == GOLDEN.read_text()
 
 
+ERB8 = ("er_bipartite", {"na": 8, "nb": 8, "edge_prob": 0.3})
+ERB12 = ("er_bipartite", {"na": 12, "nb": 10, "edge_prob": 0.2})
+ERB30 = ("er_bipartite", {"na": 30, "nb": 30, "edge_prob": 0.2})
+LAYERED = ("layered", {"n": 60, "cap_n": 12})
+SMALL = (
+    ("perfect_matching", {"n": 10}, 0),
+    ("sdn", {"d": 2, "s": 1, "cap_n": 3}, 1),
+    ("regular_bipartite", {"n": 10, "d": 3}, 2),
+)
+
+# (family, family params, graph seed, epsilon, p, plan seed, max_rounds); every
+# build draws 200 samples a round.  The two layered builds hit MAX_SWAPS: the
+# first ends round_cap after 24 rounds, the second case1 after 22.
+PARTITION_CASES = [
+    *((*ERB8, s, 0.5, 0.3, 0, 12) for s in range(8)),
+    *((*ERB12, s, 0.3, 0.5, 1, 12) for s in range(8)),
+    *((*ERB8, s, 0.9, 0.9, 1, 1 + s % 2) for s in range(4)),
+    *((*ERB12, s, 0.4, 0.6, 0, 2) for s in range(4)),
+    *(case for fam in SMALL
+      for case in ((*fam, 0.5, 0.3, 0, 12), (*fam, 0.3, 0.5, 1, 2), (*fam, 0.7, 0.7, 0, 1))),
+    (*ERB30, 7, 0.5, 0.3, 0, 12),
+    (*ERB30, 7, 0.3, 0.5, 1, 12),
+    (*ERB30, 7, 0.9, 0.9, 1, 3),
+    (*LAYERED, 1, 0.5, 0.3, 0, 12),
+    (*LAYERED, 1, 0.3, 0.5, 0, 12),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def golden_builds():
+    """(case, graph, outcome) for every case of PARTITION_CASES."""
+    builds = []
+    for case in PARTITION_CASES:
+        family, fparams, gseed, eps, p, plan_seed, rounds = case
+        graph = from_family(family, fparams, gseed).graph
+        cfg = PartitionConfig(
+            epsilon=eps, p=p, max_rounds=rounds, samples_per_round=200, seed=plan_seed
+        )
+        builds.append((case, graph, build_partition(graph, cfg)))
+    return tuple(builds)
+
+
+def golden_partitions_text() -> str:
+    buf = io.StringIO()
+    for (family, fparams, gseed, eps, p, plan_seed, rounds), _g, out in golden_builds():
+        fp = " ".join(f"{k}={v}" for k, v in fparams.items())
+        buf.write(f"build {family} {fp} seed={gseed} epsilon={eps} p={p}"
+                  f" plan_seed={plan_seed} max_rounds={rounds}\n")
+        buf.write(outcome_to_text(out))
+        for key in sorted(out.diagnostics):
+            buf.write(f"diagnostics {key} {out.diagnostics[key]!r}\n")
+    return buf.getvalue()
+
+
+def test_partitions_match_the_golden_file():
+    assert golden_partitions_text() == GOLDEN_PARTITIONS.read_text()
+
+
 if __name__ == "__main__":
-    text = golden_text(1)
-    assert golden_text(3) == text
-    sys.stdout.write(text)
+    if sys.argv[1:] == ["partitions"]:
+        sys.stdout.write(golden_partitions_text())
+    else:
+        text = golden_text(1)
+        assert golden_text(3) == text
+        sys.stdout.write(text)
