@@ -140,6 +140,30 @@ def test_partitions_match_the_golden_file():
     assert golden_partitions_text() == GOLDEN_PARTITIONS.read_text()
 
 
+def assert_degree_bound(graph, out):
+    # a vertex's marginals sum to at most 1 and a heavy edge's exceed
+    # tau, so each growth step adds at most per_round_degree_cap edges there
+    steps = len(out.objective_trace) - 1
+    cap = out.diagnostics["per_round_degree_cap"]
+    assert int(graph.degree_of_mask(out.partition.in_q).max(initial=0)) <= steps * cap
+
+
+def test_golden_builds_grow_q_by_at_most_one_cap_a_round():
+    for _case, graph, out in golden_builds():
+        assert_degree_bound(graph, out)
+
+
+@pytest.mark.parametrize("eps, p", [(0.9, 0.9), (0.95, 0.95), (0.99, 0.99)])
+@pytest.mark.parametrize(
+    "family, fparams, gseed", [SMALL[2], (*ERB30, 7), (*LAYERED, 1)], ids=["rb", "erb30", "layered"]
+)
+def test_q_grows_by_at_most_one_cap_a_round_near_tau_one(family, fparams, gseed, eps, p):
+    graph = from_family(family, fparams, gseed).graph
+    for plan_seed in range(3):
+        cfg = PartitionConfig(epsilon=eps, p=p, max_rounds=6, samples_per_round=200, seed=plan_seed)
+        assert_degree_bound(graph, build_partition(graph, cfg))
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["partitions"]:
         sys.stdout.write(golden_partitions_text())
