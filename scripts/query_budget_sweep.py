@@ -13,10 +13,9 @@ ceil(4 ln(1/p)/p), is marked with a star.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
-from stochcover.evaluator import CSV_COLUMNS, evaluate_strategies
+from stochcover.evaluator import evaluate_strategies, write_csv
 from stochcover.instances import gen_er_bipartite
 from stochcover.strategies import StrategyParams, mc_realization_count
 
@@ -31,7 +30,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     graph = gen_er_bipartite(args.na, args.na, args.edge_prob, seed=args.seed).graph
-    rows = []
+    all_reports = []
     print(f"{'p':>4} {'R':>4} {'ratio':>7} {'ci95':>7} {'max_pv':>7} {'total_q':>8}")
     for p in (0.1, 0.3, 0.5):
         default_r = mc_realization_count(p)
@@ -53,14 +52,12 @@ def main(argv=None) -> int:
                 f"{p:>4} {r:>4} {rep.ratio:>7.3f} {rep.ratio_ci95:>7.3f}"
                 f" {rep.max_pv_queries:>7} {rep.total_queries:>8}{star}"
             )
-            rows.append(rep.csv_row())
+            all_reports.append(rep)
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+            write_csv(all_reports, fh)
+        print(f"wrote {len(all_reports)} rows to {args.out}", file=sys.stderr)
     return 0
 
 

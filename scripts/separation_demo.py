@@ -17,10 +17,9 @@ evaluator's CSV rows.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
-from stochcover.evaluator import CSV_COLUMNS, evaluate_strategies
+from stochcover.evaluator import evaluate_strategies, write_csv
 from stochcover.instances import gen_layered_counterexample
 from stochcover.strategies import StrategyParams
 
@@ -40,7 +39,7 @@ def main(argv=None) -> int:
     params = StrategyParams(
         p=args.p, epsilon=0.5, seed=args.seed, overrides={"s": args.s}
     )
-    rows = []
+    all_reports = []
     print(f"{'instance':<18} {'strategy':<22} {'ratio':>7} {'answer':>8} {'opt':>8}")
     for n, core in SIZES:
         graph = gen_layered_counterexample(n, core, seed=args.seed).graph
@@ -57,14 +56,12 @@ def main(argv=None) -> int:
                 f"{rep.instance:<18} {rep.strategy:<22} {rep.ratio:>7.3f}"
                 f" {rep.mean_answer:>8.2f} {rep.mean_opt:>8.2f}"
             )
-            rows.append(rep.csv_row())
+            all_reports.append(rep)
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+            write_csv(all_reports, fh)
+        print(f"wrote {len(all_reports)} rows to {args.out}", file=sys.stderr)
     return 0
 
 

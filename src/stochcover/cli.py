@@ -24,7 +24,7 @@ from .errors import StochCoverError
 from .evaluator import evaluate_strategies, exact_expected_stats, write_csv
 from .graphs import Graph, read_graph_text, write_graph_text
 from .instances import FAMILIES, from_family
-from .partition import PartitionConfig, build_partition, outcome_to_text
+from .partition import MAX_ROUNDS, PartitionConfig, build_partition, outcome_to_text
 from .strategies import OVERRIDE_KEYS, STRATEGY_IDS, StrategyParams
 
 __all__ = ["main"]
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--epsilon", type=float, required=True)
     part.add_argument("--p", type=float, required=True)
     part.add_argument("--samples", type=int, default=None)
-    part.add_argument("--rounds", type=int, default=50)
+    part.add_argument("--rounds", type=int, default=MAX_ROUNDS)
     add_seed(part)
     part.add_argument("--out", default=None, help="output path (default stdout)")
 

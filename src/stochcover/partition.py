@@ -6,9 +6,10 @@ graph H (realized Q-edges plus all of S).  Start with Q empty.  Each round
 estimates by sampling, for a fixed deterministic matching policy, the
 probability that each edge lands in the policy's matching of H; S-edges
 whose estimate exceeds epsilon^2 * p are "heavy" and move into Q, and the
-process repeats on the grown Q.  It stops when the heavy edges contribute
-less than epsilon * p * mu(G) expected matching mass; the returned policy
-then simply drops those edges from its output.
+process repeats on the grown Q.  The builder has two exits: "case1", when
+the heavy edges contribute less than epsilon * p * mu(G) expected matching
+mass (the returned policy then simply drops those edges from its output),
+and "round_cap", when max_rounds rounds are kept.
 
 Because a sample of H for a larger Q is edgewise contained in the sample for
 a smaller Q under shared per-edge draws, a policy recorded in an earlier
@@ -16,8 +17,10 @@ round remains valid later (its H is a subgraph).  Components therefore carry
 their own queried-edge mask.  After each round the builder also considers
 replacing the previous round's policy with the current one, or with the
 half-half mixture of the two, whenever the estimated objective improves by
-more than the margin (epsilon * p)^10 * mu(G); an adopted replacement
-rebuilds the chain from there, at most MAX_SWAPS times per build.
+more than the margin (epsilon * p)^10 * mu(G).  The kept rounds form one
+chain of (objective, policy, marginals), one per partition; an adopted
+replacement truncates the chain there and the partitions after it, at
+most MAX_SWAPS times per build.
 
 The objective being tracked is sum_e (q_e - epsilon * q_e^2): expected
 matching size minus a concentration penalty, which rewards spreading
@@ -39,6 +42,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -69,6 +73,7 @@ _TAG_ROUND = 13
 ROUTINE_BIPARTITE = "bipartite_max"  # the one matching routine an artifact may name
 
 MAX_SWAPS = 12  # cap on adopted replacements per build
+MAX_ROUNDS = 50  # default cap on the rounds a build keeps
 # cap on the edge cells (draws x edges) of one block of shared draws; larger
 # blocks buy little speed and their uint64 temporaries cost memory
 BLOCK_CELLS = 8192
@@ -123,7 +128,7 @@ class MatchingPolicy:
 class PartitionConfig:
     epsilon: float
     p: float
-    max_rounds: int = 50
+    max_rounds: int = MAX_ROUNDS
     samples_per_round: Optional[int] = None
     seed: int = 0
 
@@ -149,7 +154,7 @@ class PartitionOutcome:
     partition: EdgePartition
     policy: MatchingPolicy
     objective_trace: tuple[float, ...]
-    termination: str  # "case1" | "round_cap" | "degree_cap"
+    termination: str  # "case1" | "round_cap"
     rounds_used: int  # total estimation rounds, including rebuilt ones
     mu_hat: float
     diagnostics: dict = field(default_factory=dict)
@@ -270,8 +275,11 @@ def estimate_marginals(
 
 
 def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
-    """Grow Q until the heavy S-edges stop mattering (or a cap is reached).
+    """Grow Q round by round until the heavy S-edges stop mattering.
 
+    The builder has two exits: "case1", when the heavy S-edges carry less
+    than epsilon * p * mu expected matching mass (the policy then drops them
+    from its output), and "round_cap", when cfg.max_rounds rounds are kept.
     Raises ApplicabilityError on a non-bipartite graph.
     """
     eps, p = cfg.epsilon, cfg.p
@@ -280,85 +288,59 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
     t = cfg.resolved_samples(graph.n)
     tau = heavy_threshold(eps, p)
     per_round_cap = int(math.ceil(1.0 / tau)) if tau > 0 else graph.m
-    degree_cap = cfg.max_rounds * per_round_cap
 
-    def fresh(partition: EdgePartition, idx: int) -> MatchingPolicy:
-        comp = PolicyComponent(in_q=tuple(bool(x) for x in partition.in_q), round_index=idx)
-        return MatchingPolicy(graph, ((1.0, comp),))
-
-    rounds: list[dict] = []
+    # the kept rounds: chain[i] = (phi, policy, q) was estimated on partitions[i]
     partitions = [EdgePartition(graph, np.zeros(graph.m, dtype=bool))]
-    rounds_used = 0
-    swaps = 0
-    i = 0
-
-    def estimate_round(idx: int) -> None:
-        nonlocal rounds_used
-        pol = fresh(partitions[idx], idx)
-        q = estimate_marginals(
-            pol, partitions[idx], graph, p, t, rng.derive_seed(cfg.seed, _TAG_ROUND, rounds_used)
-        )
-        rounds.append({"policy": pol, "q": q, "phi": policy_objective(q, eps)})
-        rounds_used += 1
-
-    termination = "round_cap"
+    chain: list[tuple[float, MatchingPolicy, np.ndarray]] = []
+    rounds_used = swaps = 0
     while True:
-        if len(rounds) <= i:
-            estimate_round(i)
-        cur = rounds[i]
+        i = len(partitions) - 1
+        if len(chain) == i:
+            comp = PolicyComponent(in_q=tuple(bool(x) for x in partitions[i].in_q), round_index=i)
+            policy = MatchingPolicy(graph, ((1.0, comp),))
+            seed = rng.derive_seed(cfg.seed, _TAG_ROUND, rounds_used)
+            q = estimate_marginals(policy, partitions[i], graph, p, t, seed)
+            chain.append((policy_objective(q, eps), policy, q))
+            rounds_used += 1
+        phi, policy, q = chain[i]
 
-        # consider replacing the previous round's policy with something better:
-        # the current policy itself, or its half-half mixture with the old one
-        # (the mixture's marginals are the average, so no new sampling needed)
+        # consider replacing the previous round with something better: the
+        # current round itself, or the half-half mixture of the two (whose
+        # marginals are the average, so no new sampling is needed); on equal
+        # objectives the current round wins
         if i >= 1 and swaps < MAX_SWAPS:
-            j = i - 1
-            prev = rounds[j]
-            q_mix = 0.5 * (prev["q"] + cur["q"])
-            candidates = [
-                (cur["phi"], cur["policy"], cur["q"]),
-                (
-                    policy_objective(q_mix, eps),
-                    _half_mixture(graph, prev["policy"], cur["policy"]),
-                    q_mix,
-                ),
-            ]
-            best_phi, best_policy, best_q = max(candidates, key=lambda c: c[0])
-            if best_phi > prev["phi"] + margin:
-                rounds[j] = {"policy": best_policy, "q": best_q, "phi": best_phi}
-                del rounds[j + 1 :]
-                del partitions[j + 1 :]
+            prev_phi, prev_policy, prev_q = chain[i - 1]
+            q_mix = 0.5 * (prev_q + q)
+            halves = tuple((0.5 * w, c) for w, c in prev_policy.components + policy.components)
+            mix = (policy_objective(q_mix, eps), MatchingPolicy(graph, halves), q_mix)
+            best = max((phi, policy, q), mix, key=itemgetter(0))
+            if best[0] > prev_phi + margin:
+                chain[i - 1 :] = [best]
+                del partitions[i:]
                 swaps += 1
-                i = j
                 continue  # re-run the swap test from the adopted slot
 
-        q = cur["q"]
         heavy = heavy_edges(q, partitions[i], eps, p)
-        heavy_mass = float(np.sum(q[heavy])) if len(heavy) else 0.0
-        if len(heavy) == 0 or heavy_mass < eps * p * mu:
-            final_policy = cur["policy"].with_exclusions(frozenset(int(e) for e in heavy))
+        if len(heavy) == 0 or float(np.sum(q[heavy])) < eps * p * mu:
+            policy = policy.with_exclusions(frozenset(int(e) for e in heavy))
             termination = "case1"
-            break
-
-        new_in_q = partitions[i].in_q.copy()
-        new_in_q[heavy] = True
-        if int(graph.degree_of_mask(new_in_q).max()) > degree_cap:
-            termination = "degree_cap"
-            final_policy = cur["policy"]
             break
         if i + 1 >= cfg.max_rounds:
             termination = "round_cap"
-            final_policy = cur["policy"]
             break
+        # Q's degree needs no check: a draw matches at most one edge at a
+        # vertex, so a vertex's marginals (or their average, for a mixture) sum
+        # to at most 1, and at most per_round_cap = ceil(1/tau) of its edges are
+        # heavy.  After i growth steps Q's maximum degree is at most i * per_round_cap.
+        new_in_q = partitions[i].in_q.copy()
+        new_in_q[heavy] = True
         partitions.append(EdgePartition(graph, new_in_q))
-        i += 1
 
-    final_partition = partitions[i]
-    trace = tuple(r["phi"] for r in rounds[: i + 1])
-    s_q = rounds[i]["q"].copy()
-    for _w, comp in final_policy.components:
+    s_q = q.copy()
+    for _w, comp in policy.components:
         if comp.exclude:
             s_q[sorted(comp.exclude)] = 0.0
-    s_edges = np.nonzero(~final_partition.in_q)[0]
+    s_edges = np.nonzero(~partitions[i].in_q)[0]
     diagnostics = {
         "max_s_marginal": float(np.max(s_q[s_edges])) if len(s_edges) else 0.0,
         "swaps": swaps,
@@ -367,23 +349,14 @@ def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:
         "per_round_degree_cap": per_round_cap,
     }
     return PartitionOutcome(
-        partition=final_partition,
-        policy=final_policy,
-        objective_trace=trace,
+        partition=partitions[i],
+        policy=policy,
+        objective_trace=tuple(phi for phi, _policy, _q in chain),
         termination=termination,
         rounds_used=rounds_used,
         mu_hat=mu,
         diagnostics=diagnostics,
     )
-
-
-def _half_mixture(
-    graph: Graph, a: MatchingPolicy, b: MatchingPolicy
-) -> MatchingPolicy:
-    comps = tuple((0.5 * w, c) for w, c in a.components) + tuple(
-        (0.5 * w, c) for w, c in b.components
-    )
-    return MatchingPolicy(graph, comps)
 
 
 # --- serialization ------------------------------------------------------------
@@ -401,7 +374,7 @@ def _bits_to_mask(bits: str) -> np.ndarray:
 
 # the lines `outcome_to_text` writes before its component lines, by key
 _HEADER_KEYS = ("n", "termination", "rounds_used", "mu_hat", "objective_trace", "in_q", "components")
-_TERMINATIONS = ("case1", "round_cap", "degree_cap")
+_TERMINATIONS = ("case1", "round_cap")
 
 
 def outcome_to_text(outcome: PartitionOutcome) -> str:
@@ -476,6 +449,15 @@ def outcome_from_text(text: str, graph: Graph) -> PartitionOutcome:
         raise StructuralError(f"malformed partition artifact: {exc}") from exc
     if announced != len(comps):
         raise StructuralError(f"artifact announces {announced} components but has {len(comps)}")
+    out_of_range = [name for name, ok in (
+        ("rounds_used", rounds_used >= 1),
+        ("mu_hat", math.isfinite(mu_hat) and mu_hat >= 0),
+        ("objective_trace", all(math.isfinite(x) for x in trace)),
+        ("component round index", all(c.round_index >= 0 for _w, c in comps)),
+        ("exclusion", all(0 <= e < graph.m for _w, c in comps for e in c.exclude)),
+    ) if not ok]
+    if out_of_range:
+        raise StructuralError("artifact has an out-of-range " + ", ".join(out_of_range))
     return PartitionOutcome(
         partition=EdgePartition(graph, _bits_to_mask(fields["in_q"])),
         policy=MatchingPolicy(graph, comps),

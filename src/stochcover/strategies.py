@@ -50,7 +50,7 @@ from .errors import ApplicabilityError, ParameterError, StructuralError
 from .filling import GeneralVcPlan, general_vc_cover, general_vc_plan
 from .graphs import Graph, bipartition
 from .matching import BipartiteBase, hk_on_mask, mvc_bipartite_on_mask, mvc_general_on_mask
-from .partition import PartitionConfig, build_partition
+from .partition import MAX_ROUNDS, PartitionConfig, build_partition
 from . import rng
 
 __all__ = [
@@ -249,7 +249,7 @@ def _plan_bipartite_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
     cfg = PartitionConfig(
         epsilon=params.epsilon,
         p=params.p,
-        max_rounds=int(params.over("partition_rounds", 50)),
+        max_rounds=int(params.over("partition_rounds", MAX_ROUNDS)),
         samples_per_round=params.over("partition_t", None),
         seed=rng.derive_seed(params.seed, _TAG_PARTITION),
     )

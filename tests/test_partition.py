@@ -302,6 +302,13 @@ def test_serialization_rejects_a_filled_reserved_field():
         pytest.param(r"^(component \S+) bipartite_max ", r"\1 greedy_maximal ", id="routine_greedy"),
         pytest.param(r"^(component \S+) bipartite_max ", r"\1 hk_fixed ", id="routine_other"),
         pytest.param(r"^(component( \S+){5}) 1", r"\1 x", id="component_mask_not_bits"),
+        pytest.param(r"^termination case1$", "termination degree_cap", id="termination_degree_cap"),
+        pytest.param(r"^rounds_used .*$", "rounds_used -4", id="rounds_used_negative"),
+        pytest.param(r"^mu_hat .*$", "mu_hat nan", id="mu_hat_nan"),
+        pytest.param(r"^objective_trace .*$", "objective_trace inf", id="objective_trace_inf"),
+        pytest.param(r"^(component( \S+){4}) \S+ ", r"\1 -3 ", id="round_index_negative"),
+        pytest.param(r"^(component( \S+){3}) \S+ ", r"\1 99 ", id="exclusion_out_of_range"),
+        pytest.param(r"^(component( \S+){3}) \S+ ", r"\1 10 ", id="exclusion_at_m"),
     ],
 )
 def test_serialization_rejects_malformed_artifacts(pattern, repl):
