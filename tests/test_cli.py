@@ -213,7 +213,7 @@ def test_partition_subcommand_round_trips(tmp_path, capsys):
     assert "edges queried" in stdout
     graph = read_graph_text(str(gfile))
     outcome = outcome_from_text(pfile.read_text(), graph)
-    assert outcome.termination in ("case1", "round_cap", "degree_cap")
+    assert outcome.termination in ("case1", "round_cap")
     assert outcome.partition.in_q.dtype == np.bool_
 
 
