@@ -372,10 +372,8 @@ def exact_expected_stats(graph: Graph, p: float) -> dict[str, float]:
     size = 1 << m
     mu = [0] * size
     nu = [0] * size
-    lowbit_index = [0] * size
     for mask in range(1, size):
         e = (mask & -mask).bit_length() - 1
-        lowbit_index[mask] = e
         bit = 1 << e
         mu[mask] = max(mu[mask & ~bit], 1 + mu[mask & ~conflict[e]])
         um, vm = endpoint_masks[e]

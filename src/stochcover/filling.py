@@ -22,8 +22,10 @@ the earlier implementation's, since committing compares capped sums
 against 1 exactly.  `saturated_on_mask` keeps each slack lazily in a heap
 of projected death times, in O((n + m) log n), and returns the saturated
 set alone, which is all a response needs.  It works on Python lists
-throughout (budgets, adjacency, saturation) and converts its result to
-numpy once, at the end.
+throughout (budgets, neighbour lists, saturation) and converts its result
+to numpy once, at the end.  Both sweeps read their neighbour lists from
+`Graph.neighbours`, so the plan's all-edges mask reads the graph's shared
+lists.
 
 The cover construction built on top: run the process once on the full graph
 with unit budgets, cap every edge value at a small time t, commit the
@@ -41,7 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError
 from .graphs import Graph
 
 __all__ = [
@@ -85,18 +87,12 @@ def filling_on_mask(
     """
     n = graph.n
     slack = np.array(_budget_list(graph, budgets))
-    emask = np.asarray(mask, dtype=bool)
-    if emask.shape != (graph.m,):
-        raise StructuralError("edge mask has wrong length")
-
-    deg = graph.degree_of_mask(emask).astype(np.float64)
+    nbrs = graph.neighbours(mask)
+    deg = np.array([len(row) for row in nbrs], dtype=np.float64)
     active = np.ones(n, dtype=bool)
     death = np.zeros(n, dtype=np.float64)
     saturated = np.zeros(n, dtype=bool)
-    adj = graph.adjacency
-    # Python-list mirrors of `emask` and `active` for the per-edge reads
-    in_mask = emask.tolist()
-    alive = [True] * n
+    alive = [True] * n  # a Python-list mirror of `active` for the per-neighbour reads
 
     def kill(vs: np.ndarray, now: float) -> None:
         active[vs] = False
@@ -107,7 +103,7 @@ def filling_on_mask(
             alive[v] = False
         # edges from a dead vertex stop growing: drop neighbor rates (whole
         # numbers, so subtracting them all at once gives the same values)
-        drops = [w for v in dying for (w, e) in adj[v] if in_mask[e] and alive[w]]
+        drops = [w for v in dying for w in nbrs[v] if alive[w]]
         np.subtract.at(deg, drops, 1.0)
 
     elapsed = 0.0
@@ -148,14 +144,7 @@ def saturated_on_mask(
     """
     n = graph.n
     slack = _budget_list(graph, budgets)
-    emask = np.asarray(mask, dtype=bool)
-    if emask.shape != (graph.m,):
-        raise StructuralError("edge mask has wrong length")
-    idx = np.flatnonzero(emask)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(graph.edge_u[idx].tolist(), graph.edge_v[idx].tolist()):
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = graph.neighbours(mask)
     deg = [len(row) for row in nbrs]
     t0 = [0.0] * n
     alive = [True] * n

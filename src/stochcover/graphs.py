@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class Graph:
     never trusted, `bipartition` computes sides from the edges.
 
     Derived data (endpoint arrays, edge ids by endpoints, adjacency, the
-    bipartition, oriented endpoints) is computed on first use and cached on
-    the instance.
+    neighbour lists of all edges, the bipartition, oriented endpoints) is
+    computed on first use and cached on the instance.
     """
 
     n: int
@@ -88,6 +88,26 @@ class Graph:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
+    def _all_neighbours(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _neighbour_rows(self.n, self.edges)))
+
+    def neighbours(self, mask: Optional[np.ndarray] = None) -> Sequence[Sequence[int]]:
+        """Per vertex, its neighbours through the edges selected by `mask`, in edge order.
+
+        This is the one builder of neighbour lists.  With no mask, or one
+        that selects every edge, it returns the lists of all edges, built
+        once per graph and shared: tuples, to be read and not changed.  Any
+        other mask, one entry per edge (else StructuralError), gets lists
+        of its own.
+        """
+        if mask is not None:
+            idx = np.flatnonzero(_check_parent(self, mask, "edge"))
+            if len(idx) < self.m:
+                ends = zip(self.edge_u[idx].tolist(), self.edge_v[idx].tolist())
+                return _neighbour_rows(self.n, ends)
+        return self._all_neighbours
+
+    @cached_property
     def _bipartition(self) -> Optional["Bipartition"]:
         return _two_color(self)
 
@@ -131,6 +151,14 @@ class Graph:
 
     def __repr__(self) -> str:  # keep reprs short; edge lists get long
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _neighbour_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
 
 
 def _check_parent(parent: Graph, mask: np.ndarray, what: str) -> np.ndarray:
@@ -177,12 +205,15 @@ class EdgePartition:
 class Bipartition:
     """Two-coloring of the vertices; side[v] is 0 (side A) or 1 (side B).
 
+    component[v] numbers v's connected component; components are numbered
+    from 0 in the order of their lowest vertex.  Both arrays are read-only.
     It holds no reference to its graph: the graph caches it, and a
     reference back would make a cycle that only the cyclic garbage
     collector frees.
     """
 
     side: np.ndarray
+    component: np.ndarray
 
 
 def bipartition(graph: Graph) -> Optional[Bipartition]:
@@ -190,32 +221,35 @@ def bipartition(graph: Graph) -> Optional[Bipartition]:
 
     Deterministic: components are rooted at their lowest-index vertex and the
     root always gets side A.  Computed once per graph: repeated calls return
-    the same object, whose `side` array is read-only.
+    the same object.
     """
     return graph._bipartition
 
 
 def _two_color(graph: Graph) -> Optional[Bipartition]:
-    side = np.full(graph.n, -1, dtype=np.int8)
-    adj = graph.adjacency
+    nbrs = graph.neighbours()
+    side = [-1] * graph.n
+    component = [-1] * graph.n
+    label = 0
     for root in range(graph.n):
         if side[root] >= 0:
             continue
         side[root] = 0
+        component[root] = label
         queue = [root]
-        while queue:
-            nxt: list[int] = []
-            for u in queue:
-                su = side[u]
-                for (w, _) in adj[u]:
-                    if side[w] < 0:
-                        side[w] = 1 - su
-                        nxt.append(w)
-                    elif side[w] == su:
-                        return None
-            queue = nxt
-    side.flags.writeable = False
-    return Bipartition(side)
+        for u in queue:  # breadth first: the loop also visits appended vertices
+            su = side[u]
+            for w in nbrs[u]:
+                if side[w] < 0:
+                    side[w] = 1 - su
+                    component[w] = label
+                    queue.append(w)
+                elif side[w] == su:
+                    return None
+        label += 1
+    sides = Bipartition(np.array(side, dtype=np.int8), np.array(component, dtype=np.int64))
+    sides.side.flags.writeable = sides.component.flags.writeable = False
+    return sides
 
 
 # --- text format ------------------------------------------------------------

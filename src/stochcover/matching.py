@@ -28,10 +28,10 @@ matching.  `BipartiteBase` prepares an edge set S once, and `match` /
 Edges are oriented by
 `Graph.oriented_endpoints`, so a side array must put the two ends of every
 edge on different sides.  On general graphs the exact cover first applies
-the degree-0/1 rules to the whole mask with one worklist pass over list
-adjacencies, in O(n + m); what is left, the kernel, is usually empty or
-tiny, and each of its components goes to a branch and bound over
-neighbour bitmasks.  That handles desk-scale inputs, and a vertex budget
+the degree-0/1 rules to the whole mask with one worklist pass over the
+mask's neighbour lists (`Graph.neighbours`), in O(n + m); what is left,
+the kernel, is usually empty or tiny, and each of its components goes to
+a branch and bound over neighbour bitmasks.  That handles desk-scale inputs, and a vertex budget
 refuses the rest.  There is deliberately no blossom algorithm here:
 nothing in the experiments needs maximum matching on large general graphs.
 """
@@ -450,15 +450,7 @@ def mvc_general_on_mask(
     empty or tiny; each of its components goes to `_branch_and_bound`.
     """
     n = graph.n
-    if mask is None:
-        us, vs = graph.edge_u.tolist(), graph.edge_v.tolist()
-    else:
-        idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-        us, vs = graph.edge_u[idx].tolist(), graph.edge_v[idx].tolist()
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = graph.neighbours(mask)
     deg = [len(row) for row in nbrs]
     active = n - deg.count(0)
     if active > budget_vertices:

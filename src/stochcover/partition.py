@@ -141,6 +141,8 @@ class PartitionConfig:
             raise ParameterError("max_rounds must be at least 1")
         if self.samples_per_round is not None and self.samples_per_round < 100:
             raise ParameterError("samples_per_round must be at least 100")
+        if self.samples_per_round is None and ((self.epsilon**2) * self.p) ** 2 == 0.0:
+            raise ParameterError("(epsilon^2 p)^2 underflows to 0: give samples_per_round")
 
     def resolved_samples(self, n: int) -> int:
         if self.samples_per_round is not None:
@@ -449,11 +451,13 @@ def outcome_from_text(text: str, graph: Graph) -> PartitionOutcome:
         raise StructuralError(f"malformed partition artifact: {exc}") from exc
     if announced != len(comps):
         raise StructuralError(f"artifact announces {announced} components but has {len(comps)}")
+    # a kept component may carry a later slot's round index after a swap,
+    # so round indices are bounded by rounds_used, not by the trace
     out_of_range = [name for name, ok in (
-        ("rounds_used", rounds_used >= 1),
+        ("rounds_used", rounds_used >= max(1, len(trace))),
         ("mu_hat", math.isfinite(mu_hat) and mu_hat >= 0),
-        ("objective_trace", all(math.isfinite(x) for x in trace)),
-        ("component round index", all(c.round_index >= 0 for _w, c in comps)),
+        ("objective_trace", len(trace) >= 1 and all(math.isfinite(x) for x in trace)),
+        ("component round index", all(0 <= c.round_index < rounds_used for _w, c in comps)),
         ("exclusion", all(0 <= e < graph.m for _w, c in comps for e in c.exclude)),
     ) if not ok]
     if out_of_range:

@@ -106,7 +106,6 @@ class StrategyParams:
 class QueryPlan:
     strategy: str
     graph: Graph
-    params: StrategyParams
     queried: np.ndarray
     payload: Any = None
 
@@ -192,7 +191,6 @@ class _HalfStochasticPayload:
 def _half_stochastic_plan(
     strategy: str,
     graph: Graph,
-    params: StrategyParams,
     queried: np.ndarray,
     extra: Any = None,
 ) -> QueryPlan:
@@ -211,7 +209,7 @@ def _half_stochastic_plan(
     elif sides is not None and s_mask.any():
         s_base = BipartiteBase(graph, sides.side, s_mask)
     payload = _HalfStochasticPayload(s_mask, s_base, fixed, extra)
-    return QueryPlan(strategy, graph, params, queried, payload)
+    return QueryPlan(strategy, graph, queried, payload)
 
 
 def _respond_half_stochastic(
@@ -233,7 +231,7 @@ def _respond_half_stochastic(
 
 def _plan_general_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
     plan = general_vc_plan(graph, params.epsilon, params.p, t=params.over("t", None))
-    return QueryPlan("general_vc", graph, params, plan.queried, plan)
+    return QueryPlan("general_vc", graph, plan.queried, plan)
 
 
 def _respond_general_vc(plan: QueryPlan, realized_mask: np.ndarray) -> StrategyAnswer:
@@ -255,7 +253,7 @@ def _plan_bipartite_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
     )
     outcome = build_partition(graph, cfg)
     queried = outcome.partition.in_q.copy()
-    return _half_stochastic_plan("bipartite_vc", graph, params, queried, extra=outcome)
+    return _half_stochastic_plan("bipartite_vc", graph, queried, extra=outcome)
 
 
 # --- mc_matching --------------------------------------------------------------
@@ -284,7 +282,7 @@ def _plan_mc_matching(graph: Graph, params: StrategyParams) -> QueryPlan:
         for e in pedge:
             if e >= 0:
                 queried[e] = True
-    return QueryPlan("mc_matching", graph, params, queried, (side, r))
+    return QueryPlan("mc_matching", graph, queried, (side, r))
 
 
 def _respond_mc_matching(plan: QueryPlan, realized_mask: np.ndarray) -> StrategyAnswer:
@@ -313,7 +311,7 @@ def _plan_one_plus_eps_vc(graph: Graph, params: StrategyParams) -> QueryPlan:
         overrides={"R_constant": 12.0},
     )
     queried = _plan_mc_matching(graph, mc_params).queried
-    return _half_stochastic_plan("one_plus_eps_vc", graph, params, queried)
+    return _half_stochastic_plan("one_plus_eps_vc", graph, queried)
 
 
 # --- random_query_baseline ----------------------------------------------------
@@ -333,7 +331,7 @@ def _plan_random_query_baseline(graph: Graph, params: StrategyParams) -> QueryPl
         )
         for e in picked:
             queried[e] = True
-    return _half_stochastic_plan("random_query_baseline", graph, params, queried)
+    return _half_stochastic_plan("random_query_baseline", graph, queried)
 
 
 # --- query_nothing / query_everything ------------------------------------------
@@ -341,12 +339,12 @@ def _plan_random_query_baseline(graph: Graph, params: StrategyParams) -> QueryPl
 
 def _plan_query_nothing(graph: Graph, params: StrategyParams) -> QueryPlan:
     nothing = np.zeros(graph.m, dtype=bool)
-    return _half_stochastic_plan("query_nothing", graph, params, nothing)
+    return _half_stochastic_plan("query_nothing", graph, nothing)
 
 
 def _plan_query_everything(graph: Graph, params: StrategyParams) -> QueryPlan:
     everything = np.ones(graph.m, dtype=bool)
-    return _half_stochastic_plan("query_everything", graph, params, everything)
+    return _half_stochastic_plan("query_everything", graph, everything)
 
 
 # --- registry -----------------------------------------------------------------

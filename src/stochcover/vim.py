@@ -167,26 +167,8 @@ class ExactRowCache:
         if sides is None:
             raise StructuralError(f"{alg} needs a bipartite graph")
         self.side = sides.side
-        self._component = self._label_components(graph)
+        self._component = sides.component
         self._rows: dict[tuple[int, tuple[bool, ...]], ProposalRow] = {}
-
-    @staticmethod
-    def _label_components(graph: Graph) -> np.ndarray:
-        label = np.full(graph.n, -1, dtype=np.int64)
-        nxt = 0
-        for root in range(graph.n):
-            if label[root] >= 0:
-                continue
-            label[root] = nxt
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for y, _e in graph.adjacency[x]:
-                    if label[y] < 0:
-                        label[y] = nxt
-                        stack.append(y)
-            nxt += 1
-        return label
 
     def row(self, profile: EdgeStatusProfile) -> ProposalRow:
         cached = self._rows.get(profile.key)

@@ -35,6 +35,9 @@ one closure per trial that draws the realization, asks each plan through
 the optimum, run in order or on a thread pool.  The block kernel must give
 the same reports, `wall_ms` aside.
 
+`degrees` and `component_labels` are per-vertex counts and labels read
+straight off the edge list.
+
 `policy_matching_sizes` and `conditional_match_probs` are Monte-Carlo
 yardsticks for the partition policy and for the exact proposal rows; they
 drive the package's own policies and base matchers on fresh draws.
@@ -91,6 +94,26 @@ def degrees(graph: Graph) -> list[int]:
         deg[u] += 1
         deg[v] += 1
     return deg
+
+
+def component_labels(graph: Graph) -> list[int]:
+    """Per vertex, its connected component's number, counted by lowest vertex.
+
+    Every vertex starts with its own index and every edge lowers both ends
+    to their smaller label until nothing changes, so each vertex ends with
+    its component's lowest vertex; those are then numbered 0, 1, ... in
+    increasing order.
+    """
+    low = list(range(graph.n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in graph.edges:
+            if low[u] != low[v]:
+                low[u] = low[v] = min(low[u], low[v])
+                changed = True
+    number = {r: k for k, r in enumerate(sorted(set(low)))}
+    return [number[r] for r in low]
 
 
 def brute_max_matching(graph: Graph, mask=None) -> int:

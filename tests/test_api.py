@@ -58,3 +58,16 @@ def test_every_exported_name_has_a_program_caller():
         if x not in used
     }
     assert unused == set(UNUSED_EXPORTS)
+
+
+def test_only_graphs_reads_the_adjacency():
+    # neighbour lists come from `Graph.neighbours`, so their format stays
+    # behind `Graph`; `adjacency` serves `Graph.incident_edges`
+    readers = set()
+    for path in sorted((ROOT / "src/stochcover").glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "adjacency":
+                readers.add(path.name)
+    assert not readers

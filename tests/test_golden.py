@@ -23,7 +23,12 @@ import pytest
 
 from stochcover.evaluator import CSV_COLUMNS, evaluate_strategies
 from stochcover.instances import from_family
-from stochcover.partition import PartitionConfig, build_partition, outcome_to_text
+from stochcover.partition import (
+    PartitionConfig,
+    build_partition,
+    outcome_from_text,
+    outcome_to_text,
+)
 from stochcover.strategies import STRATEGY_IDS, StrategyParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden_rows.csv"
@@ -124,12 +129,17 @@ def golden_builds():
     return tuple(builds)
 
 
+def build_line(case) -> str:
+    family, fparams, gseed, eps, p, plan_seed, rounds = case
+    fp = " ".join(f"{k}={v}" for k, v in fparams.items())
+    return (f"build {family} {fp} seed={gseed} epsilon={eps} p={p}"
+            f" plan_seed={plan_seed} max_rounds={rounds}\n")
+
+
 def golden_partitions_text() -> str:
     buf = io.StringIO()
-    for (family, fparams, gseed, eps, p, plan_seed, rounds), _g, out in golden_builds():
-        fp = " ".join(f"{k}={v}" for k, v in fparams.items())
-        buf.write(f"build {family} {fp} seed={gseed} epsilon={eps} p={p}"
-                  f" plan_seed={plan_seed} max_rounds={rounds}\n")
+    for case, _g, out in golden_builds():
+        buf.write(build_line(case))
         buf.write(outcome_to_text(out))
         for key in sorted(out.diagnostics):
             buf.write(f"diagnostics {key} {out.diagnostics[key]!r}\n")
@@ -138,6 +148,19 @@ def golden_partitions_text() -> str:
 
 def test_partitions_match_the_golden_file():
     assert golden_partitions_text() == GOLDEN_PARTITIONS.read_text()
+
+
+def test_golden_artifacts_read_back_to_the_same_bytes():
+    # each case's block: its build line, the artifact, then its diagnostics
+    blocks = GOLDEN_PARTITIONS.read_text().split("build ")[1:]
+    assert len(blocks) == len(PARTITION_CASES)
+    for case, block in zip(PARTITION_CASES, blocks):
+        head, _sep, rest = ("build " + block).partition("\n")
+        assert head + "\n" == build_line(case)
+        artifact = "".join(ln for ln in rest.splitlines(keepends=True)
+                           if not ln.startswith("diagnostics "))
+        graph = from_family(case[0], case[1], case[2]).graph
+        assert outcome_to_text(outcome_from_text(artifact, graph)) == artifact
 
 
 def assert_degree_bound(graph, out):

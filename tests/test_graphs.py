@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import degrees
+from oracles import component_labels, degrees
 from stochcover import rng
 from stochcover.errors import StructuralError
 from stochcover.graphs import (
@@ -42,6 +42,41 @@ def test_adjacency_and_degrees_agree():
     assert [nbr for nbr, _e in g.adjacency[1]] == [0, 2, 3]
 
 
+@given(small_graphs(), st.data())
+def test_neighbours_follow_the_masked_edges_in_edge_order(g, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    masks = [np.ones(g.m, dtype=bool), np.zeros(g.m, dtype=bool), np.array(bits, dtype=bool)]
+    for mask in (None, *masks):
+        keep = np.ones(g.m, dtype=bool) if mask is None else mask
+        expected = [[] for _ in range(g.n)]
+        for e, (u, v) in enumerate(g.edges):
+            if keep[e]:
+                expected[u].append(v)
+                expected[v].append(u)
+        assert [list(row) for row in g.neighbours(mask)] == expected
+    # the lists of all edges are built once and shared
+    assert g.neighbours() is g.neighbours()
+    assert g.neighbours(np.ones(g.m, dtype=bool)) is g.neighbours()
+
+
+def test_neighbours_refuse_a_mask_of_the_wrong_length():
+    g = Graph(3, ((0, 1), (1, 2)))
+    with pytest.raises(StructuralError):
+        g.neighbours(np.array([True]))
+
+
+@given(small_graphs(), st.integers(0, 3))
+def test_bipartition_numbers_components_by_lowest_vertex(g, isolated):
+    # extra vertices with no edge are components of their own
+    g = Graph(g.n + isolated, g.edges)
+    sides = bipartition(g)
+    if sides is None:
+        return
+    assert sides.component.tolist() == component_labels(g)
+    with pytest.raises(ValueError):
+        sides.component[0] = 1
+
+
 @given(small_graphs())
 def test_degree_of_mask_full_matches_degrees(g):
     mask = np.ones(g.m, dtype=bool)
@@ -55,6 +90,10 @@ def test_bipartition_even_cycle_and_odd_cycle():
     assert sides.side[0] == 0
     odd = Graph(3, ((0, 1), (1, 2), (2, 0)))
     assert bipartition(odd) is None
+    # an odd cycle in a later component, after an isolated vertex
+    assert bipartition(Graph(6, ((0, 1), (3, 4), (4, 5), (5, 3)))) is None
+    two = bipartition(Graph(6, ((1, 4), (2, 5), (5, 4))))
+    assert two.component.tolist() == [0, 1, 1, 2, 1, 1]
 
 
 def test_bipartition_is_cached_and_read_only():

@@ -25,7 +25,7 @@ from stochcover.matching import (
     mvc_bipartite_on_mask,
     mvc_general_on_mask,
 )
-from stochcover.strategies import StrategyParams, _half_stochastic_plan, respond_strategy
+from stochcover.strategies import _half_stochastic_plan, respond_strategy
 
 
 @st.composite
@@ -257,7 +257,7 @@ def test_prebuilt_s_gives_the_reference_cover(case):
     own = _sides(g).side
     warm_pair, warm_pedge, _size = reference_hk(g, own, s_mask)
     own_ref = reference_hk(g, own, union, init_pair=warm_pair, init_pair_edge=warm_pedge)
-    plan = _half_stochastic_plan("random_query_baseline", g, StrategyParams(p=0.5), queried)
+    plan = _half_stochastic_plan("random_query_baseline", g, queried)
     answer = respond_strategy(plan, realized[plan.queried_indices])
     assert np.array_equal(answer.cover, reference_konig_cover(g, own, union, own_ref[0]))
 

@@ -71,6 +71,10 @@ def test_config_validation():
         PartitionConfig(epsilon=0.5, p=0.5, max_rounds=0)
     with pytest.raises(ParameterError):
         PartitionConfig(epsilon=0.5, p=0.5, samples_per_round=10)
+    # the default sample count divides by (epsilon^2 p)^2, which underflows here
+    with pytest.raises(ParameterError):
+        PartitionConfig(epsilon=1e-200, p=0.5).resolved_samples(10)
+    assert PartitionConfig(epsilon=1e-200, p=0.5, samples_per_round=100).resolved_samples(10) == 100
 
 
 def test_estimate_marginals_validation():
@@ -309,11 +313,18 @@ def test_serialization_rejects_a_filled_reserved_field():
         pytest.param(r"^(component( \S+){4}) \S+ ", r"\1 -3 ", id="round_index_negative"),
         pytest.param(r"^(component( \S+){3}) \S+ ", r"\1 99 ", id="exclusion_out_of_range"),
         pytest.param(r"^(component( \S+){3}) \S+ ", r"\1 10 ", id="exclusion_at_m"),
+        # fields that disagree: 1 <= len(trace) <= rounds_used and round indices < rounds_used
+        pytest.param(r"^objective_trace .*$", "objective_trace ", id="objective_trace_empty"),
+        pytest.param(r"^rounds_used .*$", "rounds_used 2", id="rounds_used_below_trace"),
+        pytest.param(r"^(component( \S+){4}) \S+ ", r"\1 5 ", id="round_index_at_rounds_used"),
     ],
 )
 def test_serialization_rejects_malformed_artifacts(pattern, repl):
     g = gen_er_bipartite(6, 6, 0.25, seed=3).graph
     out = build_partition(g, PartitionConfig(epsilon=0.3, p=0.5, samples_per_round=300, seed=7))
+    # rounds_used 5, a 3-entry trace and one component of round 2
+    assert (out.rounds_used, len(out.objective_trace)) == (5, 3)
+    assert [c.round_index for _w, c in out.policy.components] == [2]
     damaged, count = re.subn(pattern, repl, outcome_to_text(out), flags=re.MULTILINE)
     assert count == 1
     with pytest.raises(StructuralError):
