@@ -7,33 +7,29 @@ is exactly min(death_time(u), death_time(v)), and the whole process is
 determined by the vertex death times, which an event-driven sweep computes
 in at most n events.
 
-`filling_on_mask` returns the pair (death, saturated): death[v] is the time
-at which v's edges stopped growing, and saturated[v] says whether that
-happened because v's budget filled up.  Vertices still alive when nothing
-grows any more get the end time of the run and saturated = False; a zero
-budget saturates at time 0.  An edge's value is min(death[u], death[v]) if
-it took part in the run, else 0.
+Two sweeps run this process under one tie rule: an event at time T kills
+every growing vertex whose slack at T is within SATURATION_TOL, and such
+a vertex is saturated.  Each serves one caller.  The plan's sweep
+(`_death_times`) runs with unit budgets over the graph's shared
+`Graph.neighbours` lists and advances all slacks together at every event.
+It stops at the truncation time t, since no later event changes a capped
+value min(death[u], death[v], t); every vertex still alive then gets death
+time t.  Its arithmetic must stay bit-identical to the earlier
+implementation's, since committing compares capped sums against 1
+exactly.  The response's sweep (`saturated_on_mask`) runs on any edge mask
+with budgets in [0, 1] (a zero budget saturates at time 0), keeps each
+slack lazily in a heap of projected death times, in O((n + m) log n), and
+returns the saturated set alone, which is all a response needs.  It works
+on Python lists throughout and converts its result to numpy once, at the
+end.
 
-Two sweeps run the same process under the same tie rule: an event at time
-T kills every growing vertex whose slack at T is within SATURATION_TOL.
-`filling_on_mask` is iterative and advances all slacks together at every
-event; the plan reads its death times, which must stay bit-identical to
-the earlier implementation's, since committing compares capped sums
-against 1 exactly.  `saturated_on_mask` keeps each slack lazily in a heap
-of projected death times, in O((n + m) log n), and returns the saturated
-set alone, which is all a response needs.  It works on Python lists
-throughout (budgets, neighbour lists, saturation) and converts its result
-to numpy once, at the end.  Both sweeps read their neighbour lists from
-`Graph.neighbours`, so the plan's all-edges mask reads the graph's shared
-lists.
-
-The cover construction built on top: run the process once on the full graph
-with unit budgets, cap every edge value at a small time t, commit the
-vertices that are still saturated after capping, and query only the edges
-with no committed endpoint (their count per vertex is at most ceil(1/t)).
-At response time, rerun the process on the realized queried edges with the
-leftover budgets (the heap sweep); saturated vertices together with the
-committed ones cover everything that was realized.
+The cover construction built on top: run the process on the full graph
+with unit budgets up to a small time t, which caps every edge value at t,
+commit the vertices that are still saturated after capping, and query only
+the edges with no committed endpoint (their count per vertex is at most
+ceil(1/t)).  At response time, rerun the process on the realized queried
+edges with the leftover budgets (the heap sweep); saturated vertices
+together with the committed ones cover everything that was realized.
 """
 from __future__ import annotations
 
@@ -48,7 +44,6 @@ from .graphs import Graph
 
 __all__ = [
     "GeneralVcPlan",
-    "filling_on_mask",
     "saturated_on_mask",
     "general_vc_plan",
     "general_vc_cover",
@@ -67,51 +62,20 @@ class GeneralVcPlan:
     residual_budget: np.ndarray  # per vertex, 1 - capped sum
 
 
-def _budget_list(graph: Graph, budgets: Union[float, np.ndarray]) -> list[float]:
-    """Per-vertex budgets as a Python list, each checked to lie in [0, 1]."""
-    b = np.asarray(budgets, dtype=np.float64)
-    if b.shape != (graph.n,):
-        b = np.broadcast_to(b, (graph.n,))
-    out = b.tolist()
-    if out and not (0.0 <= min(out) and max(out) <= 1.0):
-        raise ParameterError("budgets must lie in [0, 1]")
-    return out
+def _death_times(graph: Graph, t: float) -> np.ndarray:
+    """Death times of the unit-budget run on all edges, up to time t.
 
-
-def filling_on_mask(
-    graph: Graph, mask: np.ndarray, budgets: Union[float, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the growth process on the edges selected by `mask`.
-
-    Returns (death, saturated), both indexed by vertex.
+    The sweep stops at the first event past t (an event at exactly t still
+    applies), and every vertex still alive then gets death time t.
     """
     n = graph.n
-    slack = np.array(_budget_list(graph, budgets))
-    nbrs = graph.neighbours(mask)
+    nbrs = graph.neighbours()
     deg = np.array([len(row) for row in nbrs], dtype=np.float64)
+    slack = np.ones(n, dtype=np.float64)
     active = np.ones(n, dtype=bool)
-    death = np.zeros(n, dtype=np.float64)
-    saturated = np.zeros(n, dtype=bool)
+    death = np.full(n, t, dtype=np.float64)
     alive = [True] * n  # a Python-list mirror of `active` for the per-neighbour reads
-
-    def kill(vs: np.ndarray, now: float) -> None:
-        active[vs] = False
-        death[vs] = now
-        saturated[vs] = True
-        dying = vs.tolist()
-        for v in dying:
-            alive[v] = False
-        # edges from a dead vertex stop growing: drop neighbor rates (whole
-        # numbers, so subtracting them all at once gives the same values)
-        drops = [w for v in dying for w in nbrs[v] if alive[w]]
-        np.subtract.at(deg, drops, 1.0)
-
     elapsed = 0.0
-    # zero budgets saturate immediately
-    zero = active & (slack <= SATURATION_TOL)
-    if np.any(zero):
-        kill(np.nonzero(zero)[0], 0.0)
-
     while True:
         growing = active & (deg > 0.0)
         if not np.any(growing):
@@ -119,18 +83,26 @@ def filling_on_mask(
         rates = deg[growing]
         dt = float(np.min(slack[growing] / rates))
         elapsed += dt
+        if elapsed > t:
+            break
         slack[growing] -= rates * dt
-        newly = growing & (slack <= SATURATION_TOL)
-        kill(np.nonzero(newly)[0], elapsed)
-
-    death[active] = elapsed
-    return death, saturated
+        newly = np.nonzero(growing & (slack <= SATURATION_TOL))[0]
+        active[newly] = False
+        death[newly] = elapsed
+        dying = newly.tolist()
+        for v in dying:
+            alive[v] = False
+        # edges from a dead vertex stop growing: drop neighbor rates (whole
+        # numbers, so subtracting them all at once gives the same values)
+        drops = [w for v in dying for w in nbrs[v] if alive[w]]
+        np.subtract.at(deg, drops, 1.0)
+    return death
 
 
 def saturated_on_mask(
     graph: Graph, mask: np.ndarray, budgets: Union[float, np.ndarray]
 ) -> np.ndarray:
-    """The `saturated` half of `filling_on_mask`'s result, from a heap sweep.
+    """The vertices that the run on the edges of `mask` saturates, from a heap sweep.
 
     Each alive vertex v keeps its slack at time t0[v] and its rate deg[v],
     the number of its masked edges to alive vertices, so its projected
@@ -143,7 +115,11 @@ def saturated_on_mask(
     slack at T is within SATURATION_TOL; the others go back.
     """
     n = graph.n
-    slack = _budget_list(graph, budgets)
+    b = np.asarray(budgets, dtype=np.float64)
+    # per-vertex budgets (every respond's) skip broadcast_to, which costs microseconds
+    slack = (b if b.shape == (n,) else np.broadcast_to(b, (n,))).tolist()
+    if slack and not (0.0 <= min(slack) and max(slack) <= 1.0):
+        raise ParameterError("budgets must lie in [0, 1]")
     nbrs = graph.neighbours(mask)
     deg = [len(row) for row in nbrs]
     t0 = [0.0] * n
@@ -216,8 +192,8 @@ def general_vc_plan(
     if not (0.0 < t):
         raise ParameterError("truncation time must be positive")
 
-    death, _saturated = filling_on_mask(graph, np.ones(graph.m, dtype=bool), 1.0)
-    capped = np.minimum(np.minimum(death[graph.edge_u], death[graph.edge_v]), t)
+    death = _death_times(graph, t)
+    capped = np.minimum(death[graph.edge_u], death[graph.edge_v])
     sums = np.zeros(graph.n, dtype=np.float64)
     np.add.at(sums, graph.edge_u, capped)
     np.add.at(sums, graph.edge_v, capped)

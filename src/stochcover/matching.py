@@ -57,6 +57,8 @@ __all__ = [
 
 _INF = 1 << 30
 
+GENERAL_OPT_BUDGET = 64  # non-isolated-vertex cap for exact general covers
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -438,7 +440,7 @@ def _search(nb: list[int], live: int, chosen: int, size: int, best: list[int]) -
 
 
 def mvc_general_on_mask(
-    graph: Graph, mask: Optional[np.ndarray], budget_vertices: int = 40
+    graph: Graph, mask: Optional[np.ndarray], budget_vertices: int = GENERAL_OPT_BUDGET
 ) -> tuple[np.ndarray, int]:
     """Exact minimum vertex cover of a masked general graph.
 

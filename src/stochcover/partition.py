@@ -148,7 +148,10 @@ class PartitionConfig:
         if self.samples_per_round is not None:
             return self.samples_per_round
         tau = (self.epsilon**2) * self.p
-        return max(10**4, int(math.ceil(8.0 * math.log(max(n, 2)) / (tau * tau))))
+        count = 8.0 * math.log(max(n, 2)) / (tau * tau)
+        if not math.isfinite(count):
+            raise ParameterError("the default samples_per_round overflows: give samples_per_round")
+        return max(10**4, int(math.ceil(count)))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,13 @@ import numpy as np
 from .errors import ApplicabilityError, ParameterError, StructuralError
 from .filling import GeneralVcPlan, general_vc_cover, general_vc_plan
 from .graphs import Graph, bipartition
-from .matching import BipartiteBase, hk_on_mask, mvc_bipartite_on_mask, mvc_general_on_mask
+from .matching import (
+    GENERAL_OPT_BUDGET,
+    BipartiteBase,
+    hk_on_mask,
+    mvc_bipartite_on_mask,
+    mvc_general_on_mask,
+)
 from .partition import MAX_ROUNDS, PartitionConfig, build_partition
 from . import rng
 
@@ -68,8 +74,6 @@ __all__ = [
 _TAG_MC = 31
 _TAG_RQB = 32
 _TAG_PARTITION = 33
-
-GENERAL_OPT_BUDGET = 64  # non-isolated-vertex cap for exact general covers
 
 # Every override key a strategy reads, with the type a text value casts to.
 OVERRIDE_KEYS = {

@@ -54,6 +54,7 @@ _TAG_PROPOSE = 23
 ALG_HK = "hk_fixed"  # the one base matcher; `alg` parameters accept only it
 
 _ROW_TOL = 1e-9
+_ROW_MAX_BITS = 20  # free edges an exact row may enumerate
 
 
 @dataclass(frozen=True)
@@ -154,15 +155,14 @@ class ExactRowCache:
 
     Enumerates only the non-v edges inside v's connected component; the base
     matcher is component-local, so edges elsewhere cannot change whether
-    one of v's edges gets matched.  Enumerations above `max_bits` free edges
-    raise CapacityError.
+    one of v's edges gets matched.  Enumerations above _ROW_MAX_BITS free
+    edges raise CapacityError.
     """
 
-    def __init__(self, alg: str, graph: Graph, p: float, max_bits: int = 20):
+    def __init__(self, alg: str, graph: Graph, p: float):
         self.alg = alg
         self.graph = graph
         self.p = p
-        self.max_bits = max_bits
         sides = bipartition(graph)
         if sides is None:
             raise StructuralError(f"{alg} needs a bipartite graph")
@@ -184,9 +184,9 @@ class ExactRowCache:
         free = np.nonzero(in_comp)[0]
         own_set = set(own)
         free = np.array([e for e in free.tolist() if e not in own_set], dtype=np.int64)
-        if len(free) > self.max_bits:
+        if len(free) > _ROW_MAX_BITS:
             raise CapacityError(
-                f"exact row needs 2^{len(free)} enumerations (cap 2^{self.max_bits})"
+                f"exact row needs 2^{len(free)} enumerations (cap 2^{_ROW_MAX_BITS})"
             )
         base = np.zeros(g.m, dtype=bool)
         base[np.array(own, dtype=np.int64)] = np.array(profile.realized, dtype=bool)

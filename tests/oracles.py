@@ -22,7 +22,9 @@ package's earlier water-filling plan and cover, kept verbatim with the
 `FillingResult` and `FractionalAssignment` types they were built on.  The
 production plan must match them bit for bit (committed set, queried set and
 residual budgets) and the production cover must be identical, because every
-`general_vc` row of a CSV depends on both.
+`general_vc` row of a CSV depends on both.  The saturated sets of the
+earlier sweep, `_reference_filling_on_mask`, are the yardstick for the
+production heap sweep on any mask and budgets.
 
 `reference_policy_draws` and `reference_estimate_marginals` are the
 package's earlier partition round: one draw, one fresh warm-started
@@ -198,22 +200,6 @@ def is_valid_cover(graph: Graph, vertex_mask, edge_mask=None) -> bool:
         if not (vertex_mask[u] or vertex_mask[v]):
             return False
     return True
-
-
-def exact_edge_marginal(graph: Graph, p: float, run_policy, edge: int) -> float:
-    """Pr[edge in run_policy(mask)] over all realizations; policy gets a bool mask."""
-    m = graph.m
-    assert m <= 12
-    total = 0.0
-    for bits in range(1 << m):
-        mask = np.array([(bits >> e) & 1 == 1 for e in range(m)], dtype=bool)
-        k = int(mask.sum())
-        weight = (p**k) * ((1.0 - p) ** (m - k))
-        if weight == 0.0:
-            continue
-        if edge in run_policy(mask):
-            total += weight
-    return total
 
 
 def policy_matching_sizes(

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_general_vc_cover, reference_general_vc_plan
+from oracles import (
+    _reference_filling_on_mask,
+    reference_general_vc_cover,
+    reference_general_vc_plan,
+)
 from stochcover.errors import ParameterError, StructuralError
 from stochcover import rng
 from stochcover.evaluator import _TAG_TRIAL
 from stochcover.filling import (
     SATURATION_TOL,
-    filling_on_mask,
+    _death_times,
     general_vc_cover,
     general_vc_plan,
     saturated_on_mask,
@@ -28,16 +32,19 @@ def small_graphs(draw):
     return Graph(n, tuple(edges))
 
 
-def full_run(g, budgets=1.0):
-    return filling_on_mask(g, np.ones(g.m, dtype=bool), budgets)
+def saturated_on_all(g, budgets=1.0):
+    """The vertices that the run on all of g's edges saturates."""
+    return saturated_on_mask(g, np.ones(g.m, dtype=bool), budgets)
 
 
-def edge_values(g, death, mask=None):
-    """An edge's value is min(death u, death v) if it took part, else 0."""
-    values = np.minimum(death[g.edge_u], death[g.edge_v])
-    if mask is not None:
-        values[~mask] = 0.0
-    return values
+def death_times(g):
+    """The plan's sweep run to its end: t = 2 lies above every event time."""
+    return _death_times(g, 2.0)
+
+
+def edge_values(g, death):
+    """An edge's value is min(death u, death v)."""
+    return np.minimum(death[g.edge_u], death[g.edge_v])
 
 
 def vertex_sums(g, values):
@@ -48,70 +55,63 @@ def vertex_sums(g, values):
 
 
 def test_triangle_fills_to_halves(triangle):
-    death, saturated = full_run(triangle)
+    death = death_times(triangle)
     assert np.allclose(edge_values(triangle, death), 0.5)
-    assert saturated.all()
     assert np.allclose(death, 0.5)
+    assert saturated_on_all(triangle).all()
 
 
 def test_star_center_saturates_alone():
     g = Graph(4, ((0, 1), (0, 2), (0, 3)))
-    death, saturated = full_run(g)
+    death = death_times(g)
     assert np.allclose(edge_values(g, death), 1.0 / 3.0)
-    assert saturated.tolist() == [True, False, False, False]
-    # leaves never saturate; their death time records the end of the run
-    assert np.allclose(death[1:], 1.0 / 3.0)
+    assert saturated_on_all(g).tolist() == [True, False, False, False]
+    # leaves never saturate; still alive when the sweep stops, they get death time t
+    assert death[1:].tolist() == [2.0, 2.0, 2.0]
 
 
 def test_path_two_edges():
     g = Graph(3, ((0, 1), (1, 2)))
-    death, saturated = full_run(g)
-    assert np.allclose(edge_values(g, death), 0.5)
-    assert saturated.tolist() == [False, True, False]
+    assert np.allclose(edge_values(g, death_times(g)), 0.5)
+    assert saturated_on_all(g).tolist() == [False, True, False]
 
 
 def test_zero_budget_vertices_die_immediately():
+    # vertex 0 saturates at time 0, so vertex 1's only edge never grows
     g = Graph(2, ((0, 1),))
-    death, saturated = full_run(g, np.array([0.0, 1.0]))
-    assert death[0] == 0.0
-    assert saturated[0]
-    assert edge_values(g, death)[0] == 0.0
+    assert saturated_on_all(g, np.array([0.0, 1.0])).tolist() == [True, False]
 
 
 def test_budget_validation():
     g = Graph(2, ((0, 1),))
     with pytest.raises(ParameterError):
-        full_run(g, 1.5)
+        saturated_on_all(g, 1.5)
     with pytest.raises(ParameterError):
-        full_run(g, np.array([-0.1, 0.5]))
+        saturated_on_all(g, np.array([-0.1, 0.5]))
 
 
-@given(small_graphs(), st.floats(0.05, 1.0))
-def test_assignment_is_always_feasible(g, budget):
-    death, _saturated = full_run(g, budget)
+@given(small_graphs(), st.floats(0.05, 2.0))
+def test_assignment_is_always_feasible(g, t):
+    death = _death_times(g, t)
     values = edge_values(g, death)
-    assert (vertex_sums(g, values) <= budget + 10 * SATURATION_TOL).all()
-    assert (values >= 0).all()
+    assert (vertex_sums(g, values) <= 1.0 + 10 * SATURATION_TOL).all()
+    assert (values >= 0).all() and (death <= t).all()
 
 
 @given(small_graphs())
 def test_every_edge_has_a_saturated_endpoint(g):
-    _death, saturated = full_run(g)
+    sat = saturated_on_all(g)
     for u, v in g.edges:
-        assert saturated[u] or saturated[v]
+        assert sat[u] or sat[v]
 
 
 def test_masked_filling_ignores_missing_edges():
     g = Graph(3, ((0, 1), (1, 2)))
     mask = np.array([True, False])
-    death, saturated = filling_on_mask(g, mask, np.ones(3))
-    values = edge_values(g, death, mask)
-    assert values[1] == 0.0
-    assert values[0] == 1.0
     # vertex 2's only edge is missing, so its budget never fills
-    assert saturated.tolist() == [True, True, False]
+    assert saturated_on_mask(g, mask, np.ones(3)).tolist() == [True, True, False]
     with pytest.raises(StructuralError):
-        filling_on_mask(g, np.array([True]), 1.0)
+        saturated_on_mask(g, np.array([True]), 1.0)
 
 
 def test_plan_caps_edge_values_at_t(triangle):
@@ -184,10 +184,18 @@ def er_graphs(draw):
 @given(er_graphs(), st.data())
 def test_plan_and_cover_match_the_reference(g, data):
     # None takes the epsilon^3 p / 64 default; an edge value of the uncapped
-    # run puts t exactly on a commit threshold; large floats commit whole regions.
+    # run (every event time is one) puts t exactly on a commit threshold or
+    # on an event, or one ulp either side; large floats commit whole
+    # regions, and those above 1 let the run end before t.
     whole = reference_general_vc_plan(g, 0.5, 0.5, t=1.0).capped.values
-    thresholds = sorted(set(whole.tolist())) or [1.0]
-    t = data.draw(st.one_of(st.none(), st.floats(1e-3, 1.0), st.sampled_from(thresholds)))
+    thresholds = sorted(
+        {float(x) for v in whole.tolist() for x in (np.nextafter(v, 0.0), v, np.nextafter(v, 2.0))}
+    ) or [1.0]
+    t = data.draw(
+        st.one_of(
+            st.none(), st.floats(1e-3, 1.0), st.floats(1.0, 4.0), st.sampled_from(thresholds)
+        )
+    )
     overrides = {} if t is None else {"t": t}
     plan = plan_strategy("general_vc", g, StrategyParams(p=0.5, epsilon=0.5, overrides=overrides))
     ours = plan.payload
@@ -200,6 +208,18 @@ def test_plan_and_cover_match_the_reference(g, data):
     answers = np.array(data.draw(st.lists(st.booleans(), min_size=q, max_size=q)), dtype=bool)
     cover = respond_strategy(plan, answers).cover
     assert np.array_equal(cover, reference_general_vc_cover(ref, answers))
+
+
+def test_plan_matches_the_reference_where_vertices_die_before_t():
+    # the core vertices of layered(4400,40) have degree 2,200, above 1/t =
+    # 2,048 at the default t, so they die before the plan's sweep stops
+    g = gen_layered_counterexample(4400, 40, seed=1).graph
+    plan = general_vc_plan(g, 0.5, 0.25)
+    ref = reference_general_vc_plan(g, 0.5, 0.25)
+    assert np.array_equal(plan.committed, ref.committed)
+    assert np.array_equal(plan.queried, ref.queried)
+    assert plan.residual_budget.tobytes() == ref.residual_budget.tobytes()
+    assert int(plan.committed.sum()) == 40 and int(plan.queried.sum()) == 2180
 
 
 @st.composite
@@ -242,7 +262,8 @@ def filling_cases(draw):
 @settings(max_examples=200)
 def test_heap_sweep_saturates_the_same_vertices(case):
     g, mask, budgets = case
-    assert np.array_equal(saturated_on_mask(g, mask, budgets), filling_on_mask(g, mask, budgets)[1])
+    reference = _reference_filling_on_mask(g, mask, budgets).saturated
+    assert np.array_equal(saturated_on_mask(g, mask, budgets), reference)
 
 
 def test_heap_sweep_on_plan_budgets_at_scale():
@@ -252,9 +273,8 @@ def test_heap_sweep_on_plan_budgets_at_scale():
     budgets = general_vc_plan(g, 0.5, 0.25).residual_budget
     for k in range(20):
         mask = rng.bernoulli_mask(k, g.m, 0.25)
-        assert np.array_equal(
-            saturated_on_mask(g, mask, budgets), filling_on_mask(g, mask, budgets)[1]
-        )
+        reference = _reference_filling_on_mask(g, mask, budgets).saturated
+        assert np.array_equal(saturated_on_mask(g, mask, budgets), reference)
 
 
 def test_heap_sweep_on_the_general_er_plan():
@@ -268,7 +288,9 @@ def test_heap_sweep_on_the_general_er_plan():
         mask = rng.bernoulli_mask(rng.derive_seed(13, _TAG_TRIAL, k), g.m, 0.3)
         realized = mask & plan.queried
         saturated = saturated_on_mask(g, realized, plan.residual_budget)
-        assert np.array_equal(saturated, filling_on_mask(g, realized, plan.residual_budget)[1])
+        assert np.array_equal(
+            saturated, _reference_filling_on_mask(g, realized, plan.residual_budget).saturated
+        )
         assert np.array_equal(
             plan.committed | saturated, reference_general_vc_cover(ref, mask[q_idx])
         )

@@ -74,6 +74,9 @@ def test_config_validation():
     # the default sample count divides by (epsilon^2 p)^2, which underflows here
     with pytest.raises(ParameterError):
         PartitionConfig(epsilon=1e-200, p=0.5).resolved_samples(10)
+    # here (epsilon^2 p)^2 is subnormal, and the count overflows to infinity
+    with pytest.raises(ParameterError):
+        PartitionConfig(epsilon=1e-77, p=0.5).resolved_samples(10)
     assert PartitionConfig(epsilon=1e-200, p=0.5, samples_per_round=100).resolved_samples(10) == 100
 
 

@@ -139,11 +139,11 @@ def test_exact_row_capacity_limit():
 
 
 def test_exact_rows_ignore_other_components():
-    # vertex 0's row only depends on its own component, so a large disjoint
-    # blob must not blow the enumeration budget
+    # vertex 0's row only depends on its own component, so the 40 edges
+    # elsewhere, above the enumeration cap of 20, must not be enumerated
     edges = [(0, 1)] + [(2 + 2 * i, 3 + 2 * i) for i in range(40)]
     g = Graph(82, tuple(edges))
-    cache = ExactRowCache(ALG_HK, g, 0.3, max_bits=5)
+    cache = ExactRowCache(ALG_HK, g, 0.3)
     row = cache.row(EdgeStatusProfile(0, (0,), (True,)))
     assert row.probs == (1.0,)
 
