@@ -218,7 +218,8 @@ def _run_block(setup: _Trials, k0: int, k1: int) -> _BlockResult:
     eu, ev = graph.edge_u, graph.edge_v
     for j, cover in covers.items():
         sizes[j] = np.count_nonzero(cover, axis=1)
-        violations[j] = np.count_nonzero(masks & ~(cover[:, eu] | cover[:, ev]), axis=1)
+        covered = np.take(cover, eu, axis=1) | np.take(cover, ev, axis=1)
+        violations[j] = np.count_nonzero(masks & ~covered, axis=1)
     return _BlockResult(sizes, violations, opt, infeasible)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
@@ -38,9 +39,9 @@ class Graph:
     the text format (vertices 0..hint-1 claimed to form one side); it is
     never trusted, `bipartition` computes sides from the edges.
 
-    Derived data (endpoint arrays, edge ids by endpoints, adjacency, the
-    neighbour lists of all edges, the bipartition, oriented endpoints) is
-    computed on first use and cached on the instance.
+    Derived data (endpoint arrays, edge ids by neighbour, the incident
+    edges, the neighbour lists of all edges, the bipartition, oriented
+    endpoints) is computed on first use and cached on the instance.
     """
 
     n: int
@@ -74,18 +75,29 @@ class Graph:
         return np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=self.m)
 
     @cached_property
-    def edge_ids(self) -> dict[tuple[int, int], int]:
-        """Edge index by (lower endpoint, higher endpoint)."""
-        return {(u, v) if u < v else (v, u): e for e, (u, v) in enumerate(self.edges)}
+    def ids_by_neighbour(self) -> tuple[dict[int, int], ...]:
+        """Per vertex u, {neighbour v: index of the edge uv}."""
+        rows: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n))
+        for e, (u, v) in enumerate(self.edges):
+            rows[u][v] = e
+            rows[v][u] = e
+        return rows
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex, tuple of (neighbor, edge index) in edge-index order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+    def incidence(self) -> tuple[list[int], list[int]]:
+        """(ids, starts): vertex v's edges are ids[starts[v]:starts[v + 1]], in edge order.
+
+        Built edge by edge, so that an edge's two entries share one int.  A
+        stable argsort of the interleaved endpoints gives the same list
+        about 0.5 ms sooner on layered(400,40) (7,780 edges), but its 2m
+        fresh ints raised `perfbench`'s `trials_layered` peak resident
+        memory by about 0.6 MiB.
+        """
+        rows: list[list[int]] = [[] for _ in range(self.n)]
         for e, (u, v) in enumerate(self.edges):
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        return tuple(tuple(a) for a in adj)
+            rows[u].append(e)
+            rows[v].append(e)
+        return [e for row in rows for e in row], list(accumulate(map(len, rows), initial=0))
 
     @cached_property
     def _all_neighbours(self) -> tuple[tuple[int, ...], ...]:
@@ -138,7 +150,9 @@ class Graph:
         return np.where(swap, v, u).tolist(), np.where(swap, u, v).tolist()
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(e for (_, e) in self.adjacency[v])
+        """Indices of the edges at v, in edge order."""
+        ids, starts = self.incidence
+        return tuple(ids[starts[v] : starts[v + 1]])
 
     def degree_of_mask(self, mask: np.ndarray) -> np.ndarray:
         """Per-vertex degree restricted to the edges selected by `mask`."""

@@ -7,16 +7,19 @@ bit-reproducible experiments.
 
 Every bipartite search reads one row format, each left vertex's right
 neighbours (`_right_rows`), and lays out alternating paths with one
-breadth-first search (`_layer`).  On top of them run two paths.  Callers
+breadth-first search (`_layer`).  On top of them run two paths, through
+one search function (`_hopcroft_karp`: phases of one layering and an
+iterative layered depth-first search from each free left).  Callers
 that read the matching itself (the partition marginals, `mc_matching`'s
 plan and respond, VIM's base matcher) need its fixed tie order:
-`hk_on_mask` and `BipartiteBase.match` run a layered augmenting-path
-search (Hopcroft-Karp) over rows in edge order, with every layering laid
-out in full, and return exactly the matching that search finds; its edge
-ids are looked up afterwards, by endpoints.  Callers that read only a
-minimum vertex cover (`mvc_bipartite_on_mask`, hence every exact
-bipartite cover in the strategies and every trial's optimum, and
-`BipartiteBase.cover`) take any maximum matching: Konig's cover, read off
+`hk_on_mask`, `BipartiteBase.match` and the partition round run a layered
+augmenting-path search (Hopcroft-Karp) over rows in edge order, with
+every layering laid out in full, and read exactly the matching that
+search finds; its edge ids are looked up afterwards, in
+`Graph.ids_by_neighbour`.  Callers that read only a minimum vertex cover
+(`mvc_bipartite_on_mask`, hence every exact bipartite cover in the
+strategies and every trial's optimum, and `BipartiteBase.cover`) take
+any maximum matching: Konig's cover, read off
 alternating reachability from the free left vertices, is the same for all
 of them (Dulmage-Mendelsohn).  The cover path starts a cold search from a
 greedy matching (lowest degree first), stops each layering at the first
@@ -115,56 +118,13 @@ def _right_rows(
 
 def _pair_edges(graph: Graph, lefts: list[int], pair: list[int]) -> list[int]:
     """Per vertex, the id of its matched edge in `pair`, or -1."""
-    ids = graph.edge_ids
+    ids = graph.ids_by_neighbour
     pedge = [-1] * len(pair)
     for u in lefts:
         v = pair[u]
         if v >= 0:
-            pedge[u] = pedge[v] = ids[(u, v) if u < v else (v, u)]
+            pedge[u] = pedge[v] = ids[u][v]
     return pedge
-
-
-def _augment(root: int, nbr: list[list[int]], pair: list[int], dist: list[int]) -> bool:
-    """Layered DFS for one augmenting path from `root`, iteratively.
-
-    Tries edges in row order exactly as the recursive search (descend into
-    w = pair[v] when dist[w] is one more) would, so it applies the same
-    path.  `stack` holds the suspended frames as (left vertex, index of the
-    neighbour being tried); on success those edges become matched.
-    """
-    stack: list[tuple[int, int]] = []
-    u = root
-    i = 0
-    row = nbr[u]
-    k = len(row)
-    du = dist[u] + 1
-    while True:
-        while i < k:
-            w = pair[row[i]]
-            if w < 0:
-                stack.append((u, i))
-                for x, j in stack:
-                    v = nbr[x][j]
-                    pair[x] = v
-                    pair[v] = x
-                return True
-            if dist[w] == du:
-                break
-            i += 1
-        if i < k:
-            stack.append((u, i))
-            u = w
-            i = 0
-            du += 1
-        else:
-            dist[u] = _INF
-            if not stack:
-                return False
-            u, i = stack.pop()
-            i += 1
-            du -= 1
-        row = nbr[u]
-        k = len(row)
 
 
 def _layer(
@@ -207,20 +167,63 @@ def _layer(
     return found
 
 
-def _hopcroft_karp(nbr: list[list[int]], lefts: list[int], pair: list[int]) -> int:
-    """Grow the matching in `pair` in place to maximum; returns its size.
+def _hopcroft_karp(
+    nbr: list[list[int]], lefts: list[int], pair: list[int], shortest: bool = False
+) -> tuple[int, list[int]]:
+    """Grow the matching in `pair` in place to maximum, in phases.
 
-    Every phase lays out all layers and tries the free lefts in index
-    order over rows in edge order, which fixes the matching returned (see
-    `BipartiteBase.match`).
+    Each phase is one `_layer` (run to the end, or with `shortest` to the
+    first layer that reaches a free right) and then, from each free left
+    in index order, one layered depth-first search for an augmenting path
+    over rows in order.  The search is iterative: `stack` holds the
+    suspended frames as (left vertex, index of the neighbour being tried)
+    and descends into w = pair[v] when dist[w] is one more, exactly as a
+    recursive search would; on success those edges become matched.  Run
+    to the end, the layerings fix the matching returned (see
+    `BipartiteBase.match`).  Returns the number of augmenting paths
+    applied and the last layering's dist, which proves the matching
+    maximum.
     """
     dist = [_INF] * len(nbr)
-    size = sum(1 for u in lefts if pair[u] >= 0)
-    while _layer(nbr, lefts, pair, dist, shortest=False):
-        for u in lefts:
-            if pair[u] < 0 and _augment(u, nbr, pair, dist):
-                size += 1
-    return size
+    grown = 0
+    while _layer(nbr, lefts, pair, dist, shortest):
+        for root in lefts:
+            if pair[root] >= 0:
+                continue
+            stack: list[tuple[int, int]] = []
+            u = root
+            i = 0
+            row = nbr[u]
+            k = len(row)
+            du = dist[u] + 1
+            while True:
+                while i < k:
+                    w = pair[row[i]]
+                    if w < 0 or dist[w] == du:
+                        break
+                    i += 1
+                if i < k:
+                    stack.append((u, i))
+                    if w < 0:
+                        for x, j in stack:
+                            v = nbr[x][j]
+                            pair[x] = v
+                            pair[v] = x
+                        grown += 1
+                        break
+                    u = w
+                    i = 0
+                    du += 1
+                else:
+                    dist[u] = _INF
+                    if not stack:
+                        break
+                    u, i = stack.pop()
+                    i += 1
+                    du -= 1
+                row = nbr[u]
+                k = len(row)
+    return grown, dist
 
 
 def _max_cover(nbr: list[list[int]], lefts: list[int], pair: list[int]) -> tuple[np.ndarray, int]:
@@ -228,8 +231,9 @@ def _max_cover(nbr: list[list[int]], lefts: list[int], pair: list[int]) -> tuple
 
     `lefts` lists the left vertices with an edge and `pair` a matching,
     changed in place.  The free lefts first take their first free
-    neighbour, lowest degree first; then phases of shortest layering and
-    augmentation run until a layering reaches no free right.  That last
+    neighbour, lowest degree first; then `_hopcroft_karp` runs phases of
+    shortest layering and augmentation until a layering reaches no free
+    right.  That last
     search proves the matching maximum, and its reach is the alternating
     reachability of Konig's construction: each matched left u is covered
     by its partner if the search reached u, else by u itself.  That cover
@@ -242,11 +246,7 @@ def _max_cover(nbr: list[list[int]], lefts: list[int], pair: list[int]) -> tuple
                 pair[u] = v
                 pair[v] = u
                 break
-    dist = [_INF] * len(pair)
-    while _layer(nbr, lefts, pair, dist, shortest=True):
-        for u in lefts:
-            if pair[u] < 0:
-                _augment(u, nbr, pair, dist)
+    dist = _hopcroft_karp(nbr, lefts, pair, shortest=True)[1]
     picks = [pair[u] if dist[u] < _INF else u for u in lefts if pair[u] >= 0]
     cover = np.zeros(len(pair), dtype=bool)
     cover[picks] = True
@@ -319,11 +319,15 @@ class BipartiteBase:
     Holds S's right-neighbour rows and Hopcroft-Karp's maximum matching of
     S (`pair`, `size`), both built once; `pedge`, the matched edge ids, is
     looked up on first use.  `match` is for callers that read the matching
-    (the partition marginals): it builds the rows of S | X in increasing
+    (the tests, and the partition builder's check that S's matching is
+    maximum on all of S | Q): it builds the rows of S | X in increasing
     edge order and warm-starts Hopcroft-Karp from S's matching, so the
     matching is the one a search over that union, warm-started from S's
     matching, returns.  With X empty that is S's own matching, which is
-    maximum on S by construction, so it is returned with no search.
+    maximum on S by construction, so it is returned with no search.  The
+    partition round makes the same search per draw from `pair` itself,
+    over rows of its block's edge lists, and counts matched edges with no
+    `pedge` list.
     `cover` is for callers that read only the cover (the half-stochastic
     responder): it runs the cover path from S's matching on S's rows plus
     X's edges, and may end on any maximum matching of S | X.  An `s_mask`
@@ -337,7 +341,7 @@ class BipartiteBase:
         self.s_mask = s_mask
         self.nbr, self.lefts = _right_rows(graph, side, _mask_edges(graph, s_mask))
         self.pair = [-1] * graph.n
-        self.size = _hopcroft_karp(self.nbr, self.lefts, self.pair)
+        self.size = _hopcroft_karp(self.nbr, self.lefts, self.pair)[0]
 
     @cached_property
     def pedge(self) -> list[int]:
@@ -356,7 +360,7 @@ class BipartiteBase:
         union = _mask_edges(self.graph, self.s_mask | extra_mask)
         nbr, lefts = _right_rows(self.graph, self.side, union)
         pair = list(self.pair)
-        size = _hopcroft_karp(nbr, lefts, pair)
+        size = self.size + _hopcroft_karp(nbr, lefts, pair)[0]
         return pair, _pair_edges(self.graph, lefts, pair), size
 
     def cover(self, extra_mask: np.ndarray) -> np.ndarray:

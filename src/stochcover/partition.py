@@ -26,13 +26,20 @@ The objective being tracked is sum_e (q_e - epsilon * q_e^2): expected
 matching size minus a concentration penalty, which rewards spreading
 matching probability over many edges.
 
-A round prepares once what its draws share.  Draws come in blocks of rows
-from the counter-based streams (`rng.derive_seeds`, `rng.uniform_rows`),
-each row equal to the draw made alone.  Each component prepares its S once
-(a maximum matching that warm-starts every draw).  When
-that matching is also maximum on S | Q, as it always is with Q empty, it is
-every draw's answer, so such a round costs one matching whatever its sample
-count.
+A round prepares once what its draws share, and counts a block of draws
+at a time.  Draws come in blocks of rows from the counter-based streams
+(`rng.derive_seeds`, `rng.uniform_rows`), each row equal to the draw made
+alone.  Each component prepares its S once: a maximum matching that
+warm-starts every draw's Hopcroft-Karp, and that answers every draw which
+realizes none of the component's Q-edges.  When that matching is also
+maximum on S | Q, as it always is with Q empty, it answers every draw, so
+such a round costs one matching whatever its sample count.  Draws that S's
+matching answers add its edges once per group.  For the others, one
+`np.nonzero` per chunk of draws lists every draw's S | realized-Q edges in
+increasing order (the order that fixes Hopcroft-Karp's ties), and each
+matched edge is counted straight from the search's matching through the
+graph's per-vertex id table.  Excluded edges are dropped from each
+component's counts once, at the end.
 
 The builder is defined for bipartite graphs only: it refuses any other
 graph with ApplicabilityError, as the strategies built on it do.
@@ -43,13 +50,13 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ApplicabilityError, ParameterError, StructuralError
 from .graphs import EdgePartition, Graph, bipartition
-from .matching import BipartiteBase
+from .matching import BipartiteBase, _hopcroft_karp, _right_rows
 from . import rng
 
 __all__ = [
@@ -184,33 +191,89 @@ def heavy_edges(
 
 
 class _ComponentRunner:
-    """Execution state for one policy component, for one `_policy_draws` call.
+    """One policy component, prepared once per round, and its per-block count.
 
     S is prepared once as a `BipartiteBase`: a maximum matching of S, which
     warm-starts every draw's Hopcroft-Karp on S plus the realized Q-edges.
-    When that matching is also maximum on all of S | Q (always so with Q
-    empty), it is maximum on every draw's view, where the search returns it
-    unchanged; it is then the answer to every draw (`fixed`) and no draw is
-    searched.  Answers are tuples, so a shared answer cannot be mutated.
+    A draw that realizes none of the component's Q-edges is answered by S's
+    matching itself.  When that matching is also maximum on all of S | Q
+    (always so with Q empty), it is maximum on every draw's view, where the
+    search returns it unchanged; it is then the answer to every draw
+    (`fixed`) and no draw is searched.
     """
 
     def __init__(self, graph: Graph, side: np.ndarray, comp: PolicyComponent):
-        s_mask = comp.s_mask()
-        self.in_q = ~s_mask
+        self.graph = graph
+        self.side = side
+        self.s_mask = comp.s_mask()
+        self.in_q = ~self.s_mask
         self.exclude = comp.exclude
-        self.base = BipartiteBase(graph, side, s_mask)
-        self.fixed: Optional[tuple[int, ...]] = None
-        if self.base.match(self.in_q)[2] == self.base.size:
-            self.fixed = self._output(self.base.pedge)
+        self.base = BipartiteBase(graph, side, self.s_mask)
+        pedge = self.base.pedge
+        self.s_matched = [pedge[u] for u in self.base.lefts if pedge[u] >= 0]
+        self.fixed = self.base.match(self.in_q)[2] == self.base.size
 
-    def _output(self, matched: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted({e for e in matched if e >= 0} - self.exclude))
+    def count(self, draws: np.ndarray, counts: list[int]) -> None:
+        """Add the edges this component matches on each row of `draws` to `counts`.
 
-    def run(self, sample_mask: np.ndarray) -> tuple[int, ...]:
-        """Matched edge indices on this component's view of the shared draw."""
-        if self.fixed is not None:
-            return self.fixed
-        return self._output(self.base.match(sample_mask & self.in_q)[1])
+        Draws that need no search add S's matching once, times their
+        number.  The others are taken a chunk at a time: one `np.nonzero`
+        of (draws & Q) | S gives every draw's union edges in increasing
+        order, whose rows fix Hopcroft-Karp's tie order, and each matched
+        edge is counted straight from the search's `pair`.
+        """
+        if self.fixed:
+            searched = draws[:0]
+        else:
+            realized = draws & self.in_q
+            searched = realized[realized.any(axis=1)]
+        plain = len(draws) - len(searched)
+        if plain:
+            for e in self.s_matched:
+                counts[e] += plain
+        graph, side, start = self.graph, self.side, self.base.pair
+        ids = graph.ids_by_neighbour
+        # a quarter block of searched draws at a time, so that their listed
+        # edges (about 24 bytes each) stay small beside the block's draws
+        chunk = max(1, BLOCK_CELLS // (4 * graph.m))
+        for a in range(0, len(searched), chunk):
+            union = searched[a : a + chunk] | self.s_mask
+            edges = np.nonzero(union)[1].tolist()
+            lo = 0
+            for hi in np.cumsum(np.count_nonzero(union, axis=1)).tolist():
+                nbr, lefts = _right_rows(graph, side, edges[lo:hi])
+                pair = list(start)
+                _hopcroft_karp(nbr, lefts, pair)
+                for u in lefts:
+                    v = pair[u]
+                    if v >= 0:
+                        counts[ids[u][v]] += 1
+                lo = hi
+
+
+def _draw_block(
+    cum: np.ndarray, m: int, p: float, seed: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draws start..stop-1, one row each, and the component each draw picks.
+
+    Each draw realizes every edge independently with probability p, and
+    picks one component according to the mixture weights (`cum`, their
+    running sums).  Draw s is the one the counter-based streams give for
+    counter s, whatever the block.
+    """
+    block = rng.uniform_rows(rng.derive_seeds(seed, _TAG_SAMPLE, start, stop), m) < p
+    if len(cum) == 1:
+        return block, np.zeros(stop - start, dtype=np.int64)
+    u = rng.uniform_rows(rng.derive_seeds(seed, _TAG_COMPONENT, start, stop), 1)[:, 0]
+    return block, np.searchsorted(cum, u, side="right")
+
+
+def _round_setup(
+    policy: MatchingPolicy, graph: Graph, side: np.ndarray
+) -> tuple[list[_ComponentRunner], np.ndarray]:
+    """The components' runners and the running sums of their weights."""
+    runners = [_ComponentRunner(graph, side, c) for _w, c in policy.components]
+    return runners, np.cumsum([w for w, _c in policy.components])
 
 
 def _policy_draws(
@@ -221,27 +284,22 @@ def _policy_draws(
     t: int,
     seed: int,
 ) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
-    """For each of t shared draws, the draw and the policy's matched edges.
+    """For each of t shared draws, the draw and the policy's matched edges, in increasing order.
 
-    Each draw realizes every edge independently with probability p.  One
-    component is picked per draw according to the mixture weights, and it
-    interprets the draw through its own queried mask.  Draws are made in
-    blocks of at most BLOCK_CELLS edge cells; draw s is the one the
-    counter-based streams give for counter s, whatever the block size.
+    A view of `estimate_marginals`' count, one draw at a time: the same
+    blocks of draws, each draw counted alone by its component, and the
+    edges it counts, less the component's excluded ones, are its matched
+    edges.
     """
-    runners = [_ComponentRunner(graph, side, c) for _w, c in policy.components]
-    cum = np.cumsum([w for w, _c in policy.components])
+    runners, cum = _round_setup(policy, graph, side)
     rows = max(1, BLOCK_CELLS // max(graph.m, 1))
     for start in range(0, t, rows):
-        stop = min(t, start + rows)
-        block = rng.uniform_rows(rng.derive_seeds(seed, _TAG_SAMPLE, start, stop), graph.m) < p
-        if len(runners) == 1:
-            picks = [0] * (stop - start)
-        else:
-            u = rng.uniform_rows(rng.derive_seeds(seed, _TAG_COMPONENT, start, stop), 1)[:, 0]
-            picks = np.searchsorted(cum, u, side="right").tolist()
-        for mask, k in zip(block, picks):
-            yield mask, runners[k].run(mask)
+        block, picks = _draw_block(cum, graph.m, p, seed, start, min(t, start + rows))
+        for r, k in enumerate(picks.tolist()):
+            counts = [0] * graph.m
+            runners[k].count(block[r : r + 1], counts)
+            exclude = runners[k].exclude
+            yield block[r], tuple(e for e, c in enumerate(counts) if c and e not in exclude)
 
 
 def _bipartite_side(graph: Graph) -> np.ndarray:
@@ -267,16 +325,27 @@ def estimate_marginals(
     """
     if partition.parent is not graph:
         raise StructuralError("partition does not belong to this graph")
+    if policy.parent is not graph:
+        raise StructuralError("policy does not belong to this graph")
     if t < 1:
         raise ParameterError("sample count must be positive")
     side = _bipartite_side(graph)
     if graph.m == 0:
         return np.zeros(0, dtype=np.float64)
-    counts = [0] * graph.m
-    for _mask, matched in _policy_draws(policy, graph, side, p, t, seed):
-        for e in matched:
-            counts[e] += 1
-    return np.array(counts, dtype=np.int64) / float(t)
+    runners, cum = _round_setup(policy, graph, side)
+    counts = [[0] * graph.m for _ in runners]
+    rows = max(1, BLOCK_CELLS // graph.m)
+    for start in range(0, t, rows):
+        block, picks = _draw_block(cum, graph.m, p, seed, start, min(t, start + rows))
+        for k, runner in enumerate(runners):
+            runner.count(block[picks == k], counts[k])
+    # each component's counts, less its excluded edges
+    total = np.zeros(graph.m, dtype=np.int64)
+    for runner, row in zip(runners, counts):
+        row = np.array(row, dtype=np.int64)
+        row[sorted(runner.exclude)] = 0
+        total += row
+    return total / float(t)
 
 
 def build_partition(graph: Graph, cfg: PartitionConfig) -> PartitionOutcome:

@@ -27,7 +27,6 @@ __all__ = [
     "uniform_rows",
     "uniform_at",
     "bernoulli_mask",
-    "sample_without_replacement",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -110,19 +109,3 @@ def bernoulli_mask(seed: int, count: int, p: float) -> np.ndarray:
     counters re-yields the same draws.
     """
     return uniforms(seed, count) < p
-
-
-def sample_without_replacement(seed: int, items: list, k: int) -> list:
-    """First k entries of a seeded Fisher-Yates shuffle of `items`."""
-    if k >= len(items):
-        return list(items)
-    pool = list(items)
-    out = []
-    n = len(pool)
-    for i in range(k):
-        j = i + int(uniform_at(seed, i) * (n - i))
-        if j >= n:
-            j = n - 1
-        pool[i], pool[j] = pool[j], pool[i]
-        out.append(pool[i])
-    return out

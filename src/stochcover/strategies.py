@@ -34,8 +34,8 @@ any maximum matching (`matching.mvc_bipartite_on_mask` and
 `BipartiteBase.cover`): Konig's cover is the same for all of them.  What
 reads a matching itself needs Hopcroft-Karp's fixed tie order:
 `mc_matching`'s plan (a union of matched edges) and respond call
-`hk_on_mask`, and bipartite_vc's partition builder reads its marginals
-from `BipartiteBase.match`.
+`hk_on_mask`, and bipartite_vc's partition builder counts its marginals
+from the same search, warm-started from each component's S matching.
 """
 from __future__ import annotations
 
@@ -325,16 +325,23 @@ def _plan_random_query_baseline(graph: Graph, params: StrategyParams) -> QueryPl
     s = int(params.over("s", 3))
     if s < 0:
         raise ParameterError("s must be nonnegative")
+    ids, starts = graph.incidence
+    widest = max((b - a for a, b in zip(starts, starts[1:])), default=0)
+    # vertex v's stream is derive_seed(seed, _TAG_RQB, v); step i reads its counter i
+    draws = rng.uniform_rows(rng.derive_seeds(params.seed, _TAG_RQB, 0, graph.n), min(s, widest)).tolist()
+    picked: list[int] = []
+    for v, row in enumerate(draws):
+        pool = ids[starts[v] : starts[v + 1]]
+        d = len(pool)
+        if d > s:
+            # the first s steps of a Fisher-Yates shuffle of v's edges
+            for i in range(s):
+                j = min(i + int(row[i] * (d - i)), d - 1)
+                pool[i], pool[j] = pool[j], pool[i]
+            del pool[s:]
+        picked += pool
     queried = np.zeros(graph.m, dtype=bool)
-    for v in range(graph.n):
-        incident = graph.incident_edges(v)
-        if not incident:
-            continue
-        picked = rng.sample_without_replacement(
-            rng.derive_seed(params.seed, _TAG_RQB, v), incident, min(s, len(incident))
-        )
-        for e in picked:
-            queried[e] = True
+    queried[picked] = True
     return _half_stochastic_plan("random_query_baseline", graph, queried)
 
 

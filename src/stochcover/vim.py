@@ -336,11 +336,11 @@ def independence_stats(
     """Empirical covariance of (v proposes) and (u in M_B) per non-adjacent pair."""
     if stats is None:
         stats = run_vim_trials(graph, alg, p, trials, seed)
-    adj = graph.edge_ids
+    adj = graph.ids_by_neighbour
     out: list[tuple[int, int, float]] = []
     for i, v in enumerate(stats.a_vertices):
         for j, u in enumerate(stats.b_vertices):
-            if (min(u, v), max(u, v)) in adj:
+            if u in adj[v]:
                 continue
             cov = stats.pair_joint_freq[i, j] - stats.propose_freq[v] * stats.vim_match_freq[u]
             out.append((v, u, float(cov)))

@@ -37,8 +37,13 @@ one closure per trial that draws the realization, asks each plan through
 the optimum, run in order or on a thread pool.  The block kernel must give
 the same reports, `wall_ms` aside.
 
-`degrees` and `component_labels` are per-vertex counts and labels read
-straight off the edge list.
+`reference_random_query_mask` is the package's earlier `random_query_baseline`
+plan: one seeded `sample_without_replacement` over each vertex's incident
+edges.  The production plan draws every vertex's uniforms at once and must
+query exactly the same edges.
+
+`degrees`, `adjacency` and `component_labels` are per-vertex counts,
+(neighbour, edge) lists and labels read straight off the edge list.
 
 `policy_matching_sizes` and `conditional_match_probs` are Monte-Carlo
 yardsticks for the partition policy and for the exact proposal rows; they
@@ -75,6 +80,7 @@ from stochcover.partition import (
     _policy_draws,
 )
 from stochcover.strategies import (
+    _TAG_RQB,
     QueryPlan,
     StrategyParams,
     exact_cover_on_mask,
@@ -96,6 +102,15 @@ def degrees(graph: Graph) -> list[int]:
         deg[u] += 1
         deg[v] += 1
     return deg
+
+
+def adjacency(graph: Graph) -> list[list[tuple[int, int]]]:
+    """Per vertex, its (neighbour, edge index) pairs in edge-index order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for e, (u, v) in enumerate(graph.edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    return adj
 
 
 def component_labels(graph: Graph) -> list[int]:
@@ -253,6 +268,40 @@ def conditional_match_probs(
             if e in matched:
                 counts[k] += 1
     return ProposalRow.from_estimates(v, own, counts / float(t))
+
+
+# --- the earlier per-vertex random query plan, kept verbatim -------------------
+
+
+def sample_without_replacement(seed: int, items: list, k: int) -> list:
+    """First k entries of a seeded Fisher-Yates shuffle of `items`."""
+    if k >= len(items):
+        return list(items)
+    pool = list(items)
+    out = []
+    n = len(pool)
+    for i in range(k):
+        j = i + int(rng.uniform_at(seed, i) * (n - i))
+        if j >= n:
+            j = n - 1
+        pool[i], pool[j] = pool[j], pool[i]
+        out.append(pool[i])
+    return out
+
+
+def reference_random_query_mask(graph: Graph, s: int, seed: int) -> np.ndarray:
+    """Queried mask of `random_query_baseline` at `s`: up to s seeded edges per vertex."""
+    queried = np.zeros(graph.m, dtype=bool)
+    for v, row in enumerate(adjacency(graph)):
+        incident = [e for _w, e in row]
+        if not incident:
+            continue
+        picked = sample_without_replacement(
+            rng.derive_seed(seed, _TAG_RQB, v), incident, min(s, len(incident))
+        )
+        for e in picked:
+            queried[e] = True
+    return queried
 
 
 # --- the earlier recursive kernel, kept verbatim ------------------------------
@@ -660,7 +709,7 @@ def _reference_filling_on_mask(
     active = np.ones(n, dtype=bool)
     death = np.zeros(n, dtype=np.float64)
     saturated = np.zeros(n, dtype=bool)
-    adj = graph.adjacency
+    adj = adjacency(graph)
 
     def kill(vs: np.ndarray, now: float, by_saturation: bool) -> None:
         for v in vs.tolist():

@@ -61,8 +61,9 @@ def test_every_exported_name_has_a_program_caller():
 
 
 def test_only_graphs_reads_the_adjacency():
-    # neighbour lists come from `Graph.neighbours`, so their format stays
-    # behind `Graph`; `adjacency` serves `Graph.incident_edges`
+    # neighbour lists come from `Graph.neighbours` and incident edges from
+    # `Graph.incidence`, so their formats stay behind `Graph`; the
+    # (neighbour, edge) lists called `adjacency` live in tests/oracles.py
     readers = set()
     for path in sorted((ROOT / "src/stochcover").glob("*.py")):
         if path.name == "graphs.py":

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import component_labels, degrees
+from oracles import adjacency, component_labels, degrees
 from stochcover import rng
 from stochcover.errors import StructuralError
 from stochcover.graphs import (
@@ -37,9 +37,20 @@ def test_rejects_self_loops_and_duplicates():
 
 def test_adjacency_and_degrees_agree():
     g = Graph(4, ((0, 1), (1, 2), (1, 3)))
-    assert [len(g.adjacency[v]) for v in range(g.n)] == degrees(g) == [1, 3, 1, 1]
+    adj = adjacency(g)
+    assert [len(adj[v]) for v in range(g.n)] == degrees(g) == [1, 3, 1, 1]
     assert g.incident_edges(1) == (0, 1, 2)
-    assert [nbr for nbr, _e in g.adjacency[1]] == [0, 2, 3]
+    assert [nbr for nbr, _e in adj[1]] == [0, 2, 3]
+
+
+@given(small_graphs(), st.integers(0, 3))
+def test_incident_edges_and_ids_follow_the_adjacency(g, isolated):
+    # the argsorted incidence lists and the per-vertex id tables, against
+    # (neighbour, edge) lists built one edge at a time
+    g = Graph(g.n + isolated, g.edges)
+    for v, row in enumerate(adjacency(g)):
+        assert g.incident_edges(v) == tuple(e for _w, e in row)
+        assert g.ids_by_neighbour[v] == dict(row)
 
 
 @given(small_graphs(), st.data())

@@ -32,7 +32,7 @@ def test_sdn_reference_counts():
 def test_sdn_complete_core_when_d_equals_n():
     g = gen_sdn(4, 0, 4).graph
     assert g.m == 16
-    left_neighbors = {frozenset(nbr for nbr, _ in g.adjacency[i]) for i in range(4)}
+    left_neighbors = {frozenset(g.neighbours()[i]) for i in range(4)}
     assert left_neighbors == {frozenset(range(4, 8))}
 
 

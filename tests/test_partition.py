@@ -88,6 +88,11 @@ def test_estimate_marginals_validation():
         estimate_marginals(all_s_policy(g), part, g, 0.5, 0, seed=1)
     with pytest.raises(StructuralError):
         estimate_marginals(all_s_policy(other), EdgePartition(other, np.zeros(2, dtype=bool)), g, 0.5, 100, seed=1)
+    # a policy of another graph with as many edges, on this graph's partition
+    h = Graph(4, ((0, 2), (1, 2), (1, 3)))
+    foreign = all_s_policy(Graph(4, ((0, 2), (1, 3), (0, 3))))
+    with pytest.raises(StructuralError):
+        estimate_marginals(foreign, EdgePartition(h, np.zeros(3, dtype=bool)), h, 0.5, 100, seed=1)
 
 
 def test_pure_s_policy_is_deterministic():
@@ -398,6 +403,36 @@ def test_round_matches_the_reference_across_real_blocks():
     )
     t = 2 * rows + rows // 2
     _assert_round_matches_reference(g, MatchingPolicy(g, comps), 0.3, rows, t, seed=17)
+
+
+def test_searches_only_draws_that_realize_a_searched_components_q_edge():
+    # one fixed component (Q empty, so S's matching answers every draw) and
+    # one searched one: Hopcroft-Karp runs once for each draw that picks the
+    # searched component and realizes at least one of its Q-edges, and for
+    # no other draw
+    g = gen_er_bipartite(30, 30, 0.2, seed=7).graph
+    in_q = rng.bernoulli_mask(3, g.m, 0.5)
+    comps = (
+        (0.4, PolicyComponent(in_q=(False,) * g.m)),
+        (0.6, PolicyComponent(in_q=tuple(bool(b) for b in in_q))),
+    )
+    side = bipartition(g).side
+    assert [partition_module._ComponentRunner(g, side, c).fixed for _w, c in comps] == [True, False]
+    p, t, seed = 0.01, 700, 5
+    cum = np.cumsum([w for w, _c in comps])
+    picked = searched = 0
+    for s in range(t):
+        mask = rng.bernoulli_mask(rng.derive_seed(seed, partition_module._TAG_SAMPLE, s), g.m, p)
+        u = rng.uniform_at(rng.derive_seed(seed, partition_module._TAG_COMPONENT, s), 0)
+        if np.searchsorted(cum, u, side="right") == 1:
+            picked += 1
+            searched += bool((mask & in_q).any())
+    assert 0 < searched < picked < t
+    part = EdgePartition(g, np.zeros(g.m, dtype=bool))
+    hk = partition_module._hopcroft_karp
+    with mock.patch.object(partition_module, "_hopcroft_karp", wraps=hk) as spy:
+        estimate_marginals(MatchingPolicy(g, comps), part, g, p, t, seed)
+    assert spy.call_count == searched
 
 
 # Peak bytes traced during one 2,000-draw round on erb(30,30,0.2) at p=0.3:

