@@ -5,10 +5,16 @@ the strategy only the answers for its queried edges, check the answer
 against the full realization, and solve the realization exactly for the
 reference optimum.  Trials run in contiguous blocks of at most
 `partition.BLOCK_CELLS` edge cells: one kernel draws a block's
-realizations in one call, answers them, checks every cover answer of the
-block at once, and solves the optima.  The blocks run in this process, or
-with `threads` > 1 in that many worker processes, which get the plans once
-when they start.
+realizations in one call, builds each plan's answerer
+(`strategies._answerer`) once, and then goes row by row.  Every plan
+answers a row's `strategies._Trial`, which builds the realization's
+neighbour lists and its exact cover at most once and shares them: the
+lists serve `general_vc`'s sweep when its plan queries every edge and
+the general exact cover, and the exact cover serves the trial's optimum
+and every exact-cover answer whose S is empty.  Cover answers go into one
+(rows, n) array per plan, which is checked for the whole block at once.
+The blocks run in this process, or with `threads` > 1 in that many
+worker processes, which get the plans once when they start.
 
 Each trial has one optimum, the size of an exact minimum vertex cover of
 its realization, and every row reads it.  A matching row reads it too: the
@@ -16,13 +22,11 @@ one matching strategy, `mc_matching`, refuses non-bipartite graphs, and on
 a bipartite graph the maximum matching has the size of the minimum cover
 (Konig's theorem).  On a general graph the exact cover is refused above a
 vertex budget; from the first refusal on, the optimum columns stay empty.
-The optimum comes from `strategies.exact_cover_on_mask`, which keeps its
-last solve, so a strategy that answered the same trial with an exact cover
-of the whole realization (any plan that queried every edge) has already
-paid for it.  Trials use seeds derived from (seed, trial
-index), so a report is reproducible bit for bit at any block size and
-worker count, and separate evaluations with the same seed see the same
-realizations (common random numbers).
+A refused exact cover that an answer needs raises, at the same trial and
+plan as a per-trial loop would.  Trials use seeds derived from (seed,
+trial index), so a report is reproducible bit for bit at any block size
+and worker count, and separate evaluations with the same seed see the
+same realizations (common random numbers).
 
 For tiny graphs there is also a full-enumeration oracle giving exact
 expected optimum sizes, used to cross-check the Monte-Carlo pipeline.
@@ -44,8 +48,8 @@ from .strategies import (
     QueryPlan,
     StrategyAnswer,
     StrategyParams,
-    _respond,
-    exact_cover_on_mask,
+    _answerer,
+    _Trial,
     plan_strategy,
     strategy_kind,
 )
@@ -117,10 +121,15 @@ def validity_check(answer: StrategyAnswer, realization: Realization) -> int:
         cov = answer.cover
         bad = mask & ~(cov[g.edge_u] | cov[g.edge_v])
         return int(np.count_nonzero(bad))
+    return _matching_violations(g, mask, answer.matched_edges)
+
+
+def _matching_violations(graph: Graph, mask: np.ndarray, matched_edges: Sequence[int]) -> int:
+    """Matched edges that are unrealized or share a vertex with an earlier one."""
     violations = 0
     used: set[int] = set()
-    for e in answer.matched_edges:
-        u, v = g.edges[e]
+    for e in matched_edges:
+        u, v = graph.edges[e]
         if not mask[e] or u in used or v in used:
             violations += 1
         used.add(u)
@@ -182,41 +191,49 @@ def _run_block(setup: _Trials, k0: int, k1: int) -> _BlockResult:
 
     Row r of the block's draw is trial k0 + r's realization, the one
     `rng.bernoulli_mask(rng.derive_seed(seed, _TAG_TRIAL, k0 + r), m, p)`
-    gives.  Cover answers are stacked and checked for the whole block at
-    once; matching answers are checked one by one.  The optimum is the
-    exact cover size; once a trial's is refused (`CapacityError`), the
-    block solves no more.
+    gives.  Each plan's answerer is built once per block.  The rows go one
+    by one, and every plan answers a row's `strategies._Trial`, which
+    builds the realization's neighbour lists and exact cover at most once
+    and shares them; the optimum is that cover's size.  Matching answers
+    are checked as they come.  Cover answers are written into the block's
+    (rows, n) array per plan, list answers in one call at the end, and
+    checked for the whole block at once.  Once a trial's optimum is refused
+    (`CapacityError`), the block solves no more optima.
     """
     graph = setup.graph
     masks = rng.uniform_rows(rng.derive_seeds(setup.seed, _TAG_TRIAL, k0, k1), graph.m) < setup.p
     rows = k1 - k0
+    answerers = [_answerer(plan) for plan in setup.plans]
+    is_cover = [kind == "cover" for kind in setup.kinds]
     sizes = np.zeros((len(setup.plans), rows), dtype=np.int64)
     violations = np.zeros((len(setup.plans), rows), dtype=np.int64)
-    covers = {
-        j: np.zeros((rows, graph.n), dtype=bool)
-        for j, kind in enumerate(setup.kinds)
-        if kind == "cover"
-    }
+    covers = {j: np.zeros((rows, graph.n), dtype=bool) for j, c in enumerate(is_cover) if c}
+    listed = {j: ([], []) for j in covers}  # per plan, the (row, vertex) pairs of list answers
     opt = np.zeros(rows, dtype=np.float64)
     infeasible = False
     for r, mask in enumerate(masks):
-        real = None
-        for j, plan in enumerate(setup.plans):
-            ans = _respond(plan, mask & plan.queried)
-            if j in covers:
-                covers[j][r] = ans.cover
-                continue
-            if real is None:
-                real = Realization(graph, mask, setup.p)
-            sizes[j, r] = ans.size
-            violations[j, r] = validity_check(ans, real)
+        trial = _Trial(graph, mask)
+        for j, answer in enumerate(answerers):
+            got = answer(trial)
+            if not is_cover[j]:
+                sizes[j, r] = len(got)
+                violations[j, r] = _matching_violations(graph, mask, got)
+            elif isinstance(got, list):
+                at_rows, at_vertices = listed[j]
+                at_rows += [r] * len(got)
+                at_vertices += got
+            else:
+                covers[j][r] = got
         if setup.need_opt and not infeasible:
             try:
-                opt[r] = exact_cover_on_mask(graph, mask)[1]
+                opt[r] = trial.exact_cover()[1]
             except CapacityError:
                 infeasible = True
     eu, ev = graph.edge_u, graph.edge_v
     for j, cover in covers.items():
+        at_rows, at_vertices = listed[j]
+        if at_vertices:
+            cover[at_rows, at_vertices] = True
         sizes[j] = np.count_nonzero(cover, axis=1)
         covered = np.take(cover, eu, axis=1) | np.take(cover, ev, axis=1)
         violations[j] = np.count_nonzero(masks & ~covered, axis=1)

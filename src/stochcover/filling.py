@@ -16,12 +16,14 @@ It stops at the truncation time t, since no later event changes a capped
 value min(death[u], death[v], t); every vertex still alive then gets death
 time t.  Its arithmetic must stay bit-identical to the earlier
 implementation's, since committing compares capped sums against 1
-exactly.  The response's sweep (`saturated_on_mask`) runs on any edge mask
-with budgets in [0, 1] (a zero budget saturates at time 0), keeps each
-slack lazily in a heap of projected death times, in O((n + m) log n), and
-returns the saturated set alone, which is all a response needs.  It works
-on Python lists throughout and converts its result to numpy once, at the
-end.
+exactly.  The response's sweep (`saturated_on_lists`) runs over prebuilt
+neighbour lists with budgets in [0, 1] (a zero budget saturates at time
+0), keeps each slack lazily in a heap of projected death times, in
+O((n + m) log n), stops once no edge is still growing, and returns the
+saturated vertices alone, as a list, which is all a response needs.  The
+evaluator hands it the realization's lists, which the trial's exact cover
+reads too; `saturated_on_mask` is the one-row entry that checks the
+budgets, builds the lists of a mask and returns a vertex mask.
 
 The cover construction built on top: run the process on the full graph
 with unit budgets up to a small time t, which caps every edge value at t,
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .graphs import Graph
 
 __all__ = [
     "GeneralVcPlan",
+    "saturated_on_lists",
     "saturated_on_mask",
     "general_vc_plan",
     "general_vc_cover",
@@ -102,48 +105,72 @@ def _death_times(graph: Graph, t: float) -> np.ndarray:
 def saturated_on_mask(
     graph: Graph, mask: np.ndarray, budgets: Union[float, np.ndarray]
 ) -> np.ndarray:
-    """The vertices that the run on the edges of `mask` saturates, from a heap sweep.
+    """The vertices that the run on the edges of `mask` saturates, as a vertex mask.
 
-    Each alive vertex v keeps its slack at time t0[v] and its rate deg[v],
-    the number of its masked edges to alive vertices, so its projected
+    Every budget must lie in [0, 1] (a NaN does not), else ParameterError.
+    The run is `saturated_on_lists` over the mask's `Graph.neighbours`.
+    """
+    n = graph.n
+    b = np.asarray(budgets, dtype=np.float64)
+    slack = np.broadcast_to(b, (n,)).tolist()
+    if not all(0.0 <= s <= 1.0 for s in slack):
+        raise ParameterError("budgets must lie in [0, 1]")
+    out = np.zeros(n, dtype=bool)
+    out[saturated_on_lists(graph.neighbours(mask), slack)] = True
+    return out
+
+
+def saturated_on_lists(nbrs: Sequence[Sequence[int]], budgets: list[float]) -> list[int]:
+    """The vertices the run saturates, in order of death, from a heap sweep.
+
+    `nbrs` are per-vertex neighbour lists, read and not changed, and
+    `budgets` a list of per-vertex budgets in [0, 1], not checked here and
+    not changed.  Each alive vertex v keeps its slack at time t0[v] and its
+    rate deg[v], the number of its edges to alive vertices, so its projected
     death time is t0[v] + slack[v] / deg[v].  A rate only ever falls, which
     only delays that time, so the heap keeps one entry (key, v) per growing
     vertex and lets a key lag behind: a key is a lower bound on v's death
     time, and an entry found stale at the top is re-keyed instead of being
     pushed anew at every rate change.  An event at the least current key T
     takes every entry up to T + SATURATION_TOL and kills the vertices whose
-    slack at T is within SATURATION_TOL; the others go back.
+    slack at T is within SATURATION_TOL; the others go back.  The sweep ends
+    when no vertex is still growing: the entries left in the heap then
+    belong to vertices whose edges all stopped.
     """
-    n = graph.n
-    b = np.asarray(budgets, dtype=np.float64)
-    # per-vertex budgets (every respond's) skip broadcast_to, which costs microseconds
-    slack = (b if b.shape == (n,) else np.broadcast_to(b, (n,))).tolist()
-    if slack and not (0.0 <= min(slack) and max(slack) <= 1.0):
-        raise ParameterError("budgets must lie in [0, 1]")
-    nbrs = graph.neighbours(mask)
+    n = len(nbrs)
+    slack = list(budgets)
     deg = [len(row) for row in nbrs]
     t0 = [0.0] * n
     alive = [True] * n
-    saturated = [False] * n
+    saturated: list[int] = []
 
-    def kill(dying: list[int], now: float) -> None:
+    def kill(dying: list[int], now: float) -> int:
+        """Kill `dying` at time `now`; returns the number of edges that stop growing.
+
+        One vertex at a time: a vertex's edges to the vertices still alive
+        stop, and each such neighbour has its slack settled at `now` and
+        its rate lowered, so an edge between two dying vertices is counted
+        once.
+        """
+        stopped = 0
         for v in dying:
             alive[v] = False
-            saturated[v] = True
-        # edges from a dead vertex stop growing: settle each neighbor's
-        # slack at `now`, then lower its rate
-        for v in dying:
+            saturated.append(v)
+            stopped += deg[v]
             for w in nbrs[v]:
                 if alive[w]:
-                    slack[w] -= deg[w] * (now - t0[w])
+                    d = deg[w]
+                    slack[w] -= d * (now - t0[w])
                     t0[w] = now
-                    deg[w] -= 1
+                    deg[w] = d - 1
+        return stopped
 
+    growing = sum(deg) // 2  # edges with both ends alive
     # zero budgets saturate immediately
-    kill([v for v in range(n) if slack[v] <= SATURATION_TOL], 0.0)
+    growing -= kill([v for v in range(n) if slack[v] <= SATURATION_TOL], 0.0)
     heap = [(slack[v] / deg[v], v) for v in range(n) if alive[v] and deg[v]]
     heapq.heapify(heap)
-    while heap:
+    while growing:
         key, v = heap[0]
         d = deg[v]
         if not d:
@@ -167,8 +194,8 @@ def saturated_on_mask(
                 dying.append(v)
             else:
                 heapq.heappush(heap, (t0[v] + slack[v] / d, v))
-        kill(dying, now)
-    return np.array(saturated, dtype=bool)
+        growing -= kill(dying, now)
+    return saturated
 
 
 def general_vc_plan(

@@ -30,11 +30,14 @@ matching.  `BipartiteBase` prepares an edge set S once, and `match` /
 `cover` answer for S plus more edges, warm-started from S's matching.
 Edges are oriented by
 `Graph.oriented_endpoints`, so a side array must put the two ends of every
-edge on different sides.  On general graphs the exact cover first applies
-the degree-0/1 rules to the whole mask with one worklist pass over the
-mask's neighbour lists (`Graph.neighbours`), in O(n + m); what is left,
-the kernel, is usually empty or tiny, and each of its components goes to
-a branch and bound over neighbour bitmasks.  That handles desk-scale inputs, and a vertex budget
+edge on different sides.  On general graphs the exact cover
+(`mvc_general_on_lists`) reads prebuilt neighbour lists, so that the
+evaluator's trial can hand it the lists that `general_vc`'s sweep reads;
+`mvc_general_on_mask` is the one-row entry that builds a mask's lists
+(`Graph.neighbours`).  It first applies the degree-0/1 rules to the whole
+graph with one worklist pass, in O(n + m); what is left, the kernel, is
+usually empty or tiny, and each of its components goes to a branch and
+bound over neighbour bitmasks.  That handles desk-scale inputs, and a vertex budget
 refuses the rest.  There is deliberately no blossom algorithm here:
 nothing in the experiments needs maximum matching on large general graphs.
 """
@@ -55,6 +58,7 @@ __all__ = [
     "hk_on_mask",
     "konig_cover_from_pairs",
     "mvc_bipartite_on_mask",
+    "mvc_general_on_lists",
     "mvc_general_on_mask",
 ]
 
@@ -446,17 +450,31 @@ def _search(nb: list[int], live: int, chosen: int, size: int, best: list[int]) -
 def mvc_general_on_mask(
     graph: Graph, mask: Optional[np.ndarray], budget_vertices: int = GENERAL_OPT_BUDGET
 ) -> tuple[np.ndarray, int]:
-    """Exact minimum vertex cover of a masked general graph.
+    """Exact minimum vertex cover of a masked general graph, and its size.
 
-    The budget counts non-isolated vertices under the mask, before any
-    reduction; above it the search is refused rather than left to run
-    unbounded.  One worklist pass applies the degree-0/1 rules to the whole
-    mask in O(n + m): a degree-1 vertex puts its one live neighbour in the
-    cover.  What is left, the kernel, has minimum degree 2 and is usually
-    empty or tiny; each of its components goes to `_branch_and_bound`.
+    `mvc_general_on_lists` over the mask's `Graph.neighbours`, as a vertex
+    mask.
     """
-    n = graph.n
-    nbrs = graph.neighbours(mask)
+    cover = mvc_general_on_lists(graph.neighbours(mask), budget_vertices)
+    out = np.zeros(graph.n, dtype=bool)
+    out[cover] = True
+    return out, len(cover)
+
+
+def mvc_general_on_lists(
+    nbrs: Sequence[Sequence[int]], budget_vertices: int = GENERAL_OPT_BUDGET
+) -> list[int]:
+    """The vertices of an exact minimum vertex cover, from per-vertex neighbour lists.
+
+    `nbrs` is read and not changed.  The budget counts vertices with a
+    neighbour, before any reduction; above it CapacityError refuses the
+    search rather than leave it to run unbounded.  One worklist pass applies
+    the degree-0/1 rules to the whole graph in O(n + m): a degree-1 vertex
+    puts its one live neighbour in the cover.  What is left, the kernel,
+    has minimum degree 2 and is usually empty or tiny; each of its
+    components goes to `_branch_and_bound`.
+    """
+    n = len(nbrs)
     deg = [len(row) for row in nbrs]
     active = n - deg.count(0)
     if active > budget_vertices:
@@ -506,7 +524,5 @@ def mvc_general_on_mask(
             nb.append(bits)
         chosen = _branch_and_bound(nb)
         cover.extend(v for i, v in enumerate(comp) if chosen >> i & 1)
-    out = np.zeros(n, dtype=bool)
-    out[cover] = True
-    return out, len(cover)
+    return cover
 

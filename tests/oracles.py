@@ -837,8 +837,8 @@ def reference_evaluate_strategies(
     """Evaluate several strategies on shared per-trial realizations.
 
     All strategies see identical realizations, and per-trial optima are
-    solved once and shared, so ratio differences between rows are not
-    Monte-Carlo artifacts.
+    solved once and shared.  One trial after another, every plan answers
+    through `respond_strategy`, and the optimum is a separate exact solve.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")

@@ -15,7 +15,7 @@ from oracles import (
     expected_stats_by_enumeration,
     reference_evaluate_strategies,
 )
-from stochcover import partition, rng
+from stochcover import graphs, partition, rng, strategies
 from stochcover.errors import CapacityError, ParameterError
 from stochcover.evaluator import (
     CSV_COLUMNS,
@@ -39,6 +39,8 @@ from stochcover.strategies import (
     STRATEGY_IDS,
     StrategyAnswer,
     StrategyParams,
+    _answerer,
+    _Trial,
     exact_cover_on_mask,
     plan_strategy,
     respond_strategy,
@@ -147,26 +149,64 @@ def test_thread_count_does_not_change_results():
     ids=["bipartite", "general"],
 )
 def test_query_everything_answers_with_the_optimum_solve(graph):
+    # in the row kernel every plan answers one _Trial per realization:
+    # query_everything's answer is the trial's exact cover, whose size is
+    # the optimum the kernel reads
     plan = plan_strategy("query_everything", graph, StrategyParams(p=0.3))
+    answer = _answerer(plan)
     for k in range(40):
         mask = rng.bernoulli_mask(rng.derive_seed(5, _TAG_TRIAL, k), graph.m, 0.3)
-        answer = respond_strategy(plan, mask)
-        # the optimum, as the evaluator reads it, is the cover the answer solved
-        cover, opt = exact_cover_on_mask(graph, mask)
-        assert cover is answer.cover
-        assert answer.size == opt == brute_min_vertex_cover(graph, mask)
+        trial = _Trial(graph, mask)
+        got = answer(trial)
+        cover, opt = trial.exact_cover()
+        assert got is cover
+        assert respond_strategy(plan, mask).size == opt == brute_min_vertex_cover(graph, mask)
 
 
-def test_exact_cover_memo_is_shared_and_read_only():
+def test_a_trials_exact_cover_is_solved_once_and_shared():
+    # a trial solves its realization once for all its readers; the one-row
+    # entry keeps nothing between calls and hands out a cover of its own
     g = gen_er_bipartite(6, 6, 0.4, seed=3).graph
     mask = rng.bernoulli_mask(9, g.m, 0.5)
-    cover, size = exact_cover_on_mask(g, mask)
-    with pytest.raises(ValueError):
-        cover[0] = not cover[0]
-    again, again_size = exact_cover_on_mask(g, mask.copy())
-    assert again is cover and again_size == size
-    other, _size = exact_cover_on_mask(g, ~mask)
-    assert other is not cover
+    solve = mock.patch.object(
+        strategies, "mvc_bipartite_on_mask", wraps=strategies.mvc_bipartite_on_mask
+    )
+    with solve as spy:
+        trial = _Trial(g, mask)
+        cover, size = trial.exact_cover()
+        assert trial.exact_cover()[0] is cover
+        assert spy.call_count == 1
+        one, one_size = exact_cover_on_mask(g, mask)
+        two, _size = exact_cover_on_mask(g, mask)
+        assert spy.call_count == 3
+    assert one is not two and one_size == size
+    assert np.array_equal(one, cover) and np.array_equal(two, cover)
+    # on a bipartite graph too, the kernel makes one exact solve per trial,
+    # and query_nothing's plan makes the one for its fixed answer
+    with solve as spy:
+        evaluate_strategies(["query_everything", "query_nothing"], g, StrategyParams(p=0.5), 30, seed=2)
+    assert spy.call_count == 30 + 1
+
+
+def test_one_list_build_and_one_exact_solve_per_trial():
+    # general_vc queries every edge of this graph, so its sweep reads the
+    # realization's neighbour lists, as the exact general cover does; that
+    # one solve answers query_everything and gives the optimum
+    graph = gen_er(50, 0.1, seed=0).graph
+    params = StrategyParams(p=0.3)
+    assert plan_strategy("general_vc", graph, params).queried.all()
+    graph.neighbours()  # the lists of all edges, built once per graph
+    build = mock.patch.object(graphs, "_neighbour_rows", wraps=graphs._neighbour_rows)
+    solve = mock.patch.object(
+        strategies, "mvc_general_on_lists", wraps=strategies.mvc_general_on_lists
+    )
+    with build as builds, solve as solves:
+        rows = _rows(evaluate_strategies(["general_vc", "query_everything"], graph, params, 60, seed=4))
+    assert builds.call_count == 60
+    assert solves.call_count == 60
+    assert rows == _rows(
+        reference_evaluate_strategies(["general_vc", "query_everything"], graph, params, 60, 4)
+    )
 
 
 def test_exact_cover_refusal_is_never_kept():
@@ -289,6 +329,36 @@ BLOCK_CASES = {
         7,
         None,
     ),
+    # general_vc commits 10 vertices and queries 16 of 82 edges, so its
+    # sweep builds its own lists, not the realization's
+    "committing_plan": (
+        gen_er(30, 0.2, seed=3).graph,
+        ["general_vc", "query_everything", "random_query_baseline"],
+        StrategyParams(p=0.4, seed=3, overrides={"t": 0.2}),
+        80,
+        5,
+        None,
+    ),
+    # the baseline's exact cover of S | realized Q is first refused at
+    # trial 14 ("66 active vertices"), and the call raises that refusal
+    "refused_answer": (
+        gen_er(80, 0.04, seed=2).graph,
+        ["random_query_baseline"],
+        StrategyParams(p=0.3, seed=3),
+        40,
+        7,
+        None,
+    ),
+    # trial 14's realization is refused too ("65 active vertices"): the
+    # plan that answers first raises, here in a block of four trials
+    "refused_in_plan_order": (
+        gen_er(80, 0.04, seed=2).graph,
+        ["general_vc", "query_everything", "random_query_baseline"],
+        StrategyParams(p=0.3, seed=3),
+        40,
+        7,
+        4,
+    ),
     "edgeless": (
         Graph(5, ()),
         GENERAL_IDS + ["mc_matching"],
@@ -317,14 +387,22 @@ BLOCK_CASES = {
 }
 
 
+def _outcome(evaluate, *args, **kwargs):
+    """The rows of an evaluation, or the refusal it raises."""
+    try:
+        return _rows(evaluate(*args, **kwargs))
+    except CapacityError as exc:
+        return f"CapacityError: {exc}"
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_block_kernel_matches_the_per_trial_loop(case, threads):
     graph, ids, params, trials, seed, rows = BLOCK_CASES[case]
-    expected = _rows(reference_evaluate_strategies(ids, graph, params, trials, seed))
+    expected = _outcome(reference_evaluate_strategies, ids, graph, params, trials, seed)
     cells = partition.BLOCK_CELLS if rows is None else rows * graph.m
     with mock.patch.object(partition, "BLOCK_CELLS", cells):
-        got = _rows(evaluate_strategies(ids, graph, params, trials, seed, threads=threads))
+        got = _outcome(evaluate_strategies, ids, graph, params, trials, seed, threads=threads)
     assert got == expected
 
 

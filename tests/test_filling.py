@@ -88,6 +88,11 @@ def test_budget_validation():
         saturated_on_all(g, 1.5)
     with pytest.raises(ParameterError):
         saturated_on_all(g, np.array([-0.1, 0.5]))
+    # a NaN is refused wherever it stands, not only when it comes first
+    path = Graph(3, ((0, 1), (1, 2)))
+    for budgets in ([math.nan, 0.5, 0.5], [0.5, math.nan, 0.5]):
+        with pytest.raises(ParameterError):
+            saturated_on_all(path, np.array(budgets))
 
 
 @given(small_graphs(), st.floats(0.05, 2.0))
