@@ -20,10 +20,13 @@ exactly.  The response's sweep (`saturated_on_lists`) runs over prebuilt
 neighbour lists with budgets in [0, 1] (a zero budget saturates at time
 0), keeps each slack lazily in a heap of projected death times, in
 O((n + m) log n), stops once no edge is still growing, and returns the
-saturated vertices alone, as a list, which is all a response needs.  The
-evaluator hands it the realization's lists, which the trial's exact cover
-reads too; `saturated_on_mask` is the one-row entry that checks the
-budgets, builds the lists of a mask and returns a vertex mask.
+saturated vertices alone, as a list, which is all a response needs.  Most
+of a sweep's vertices usually stop growing without dying (their last
+neighbour died); their heap entries are dead, and are dropped in bulk
+when they outnumber the live ones.  The evaluator hands the sweep the
+realization's lists, which the trial's exact cover reads too;
+`saturated_on_mask` is the one-row entry that checks the budgets, builds
+the lists of a mask and returns a vertex mask.
 
 The cover construction built on top: run the process on the full graph
 with unit budgets up to a small time t, which caps every edge value at t,
@@ -133,9 +136,14 @@ def saturated_on_lists(nbrs: Sequence[Sequence[int]], budgets: list[float]) -> l
     time, and an entry found stale at the top is re-keyed instead of being
     pushed anew at every rate change.  An event at the least current key T
     takes every entry up to T + SATURATION_TOL and kills the vertices whose
-    slack at T is within SATURATION_TOL; the others go back.  The sweep ends
-    when no vertex is still growing: the entries left in the heap then
-    belong to vertices whose edges all stopped.
+    slack at T is within SATURATION_TOL; the others go back.
+
+    A vertex whose rate falls to 0 stops growing for good: its slack is not
+    settled, since nothing reads it again, and its entry is dead.  Dead
+    entries are dropped as they reach the top, or all at once, by rebuilding
+    the heap from the live ones, when they are more than half of it.  The
+    entries are distinct (key, v) tuples, so the live ones pop in the same
+    order either way.  The sweep ends when no vertex is still growing.
     """
     n = len(nbrs)
     slack = list(budgets)
@@ -143,26 +151,36 @@ def saturated_on_lists(nbrs: Sequence[Sequence[int]], budgets: list[float]) -> l
     t0 = [0.0] * n
     alive = [True] * n
     saturated: list[int] = []
+    dead = 0  # entries in the heap whose vertex stopped growing without dying
 
     def kill(dying: list[int], now: float) -> int:
         """Kill `dying` at time `now`; returns the number of edges that stop growing.
 
         One vertex at a time: a vertex's edges to the vertices still alive
-        stop, and each such neighbour has its slack settled at `now` and
-        its rate lowered, so an edge between two dying vertices is counted
-        once.
+        stop, and each such neighbour has its rate lowered and, while that
+        stays positive, its slack settled at `now`, so an edge between two
+        dying vertices is counted once.
         """
+        nonlocal dead
         stopped = 0
         for v in dying:
             alive[v] = False
             saturated.append(v)
-            stopped += deg[v]
+            d = deg[v]
+            if d:
+                stopped += d
+            else:
+                dead -= 1  # an earlier vertex of `dying` stopped it, but its entry is gone
             for w in nbrs[v]:
                 if alive[w]:
                     d = deg[w]
-                    slack[w] -= d * (now - t0[w])
-                    t0[w] = now
-                    deg[w] = d - 1
+                    if d > 1:
+                        slack[w] -= d * (now - t0[w])
+                        t0[w] = now
+                        deg[w] = d - 1
+                    else:
+                        deg[w] = 0
+                        dead += 1
         return stopped
 
     growing = sum(deg) // 2  # edges with both ends alive
@@ -170,11 +188,13 @@ def saturated_on_lists(nbrs: Sequence[Sequence[int]], budgets: list[float]) -> l
     growing -= kill([v for v in range(n) if slack[v] <= SATURATION_TOL], 0.0)
     heap = [(slack[v] / deg[v], v) for v in range(n) if alive[v] and deg[v]]
     heapq.heapify(heap)
+    dead = 0
     while growing:
         key, v = heap[0]
         d = deg[v]
         if not d:
-            heapq.heappop(heap)  # stopped growing without saturating
+            heapq.heappop(heap)  # a dead entry
+            dead -= 1
             continue
         due = t0[v] + slack[v] / d
         if due != key:
@@ -189,12 +209,16 @@ def saturated_on_lists(nbrs: Sequence[Sequence[int]], budgets: list[float]) -> l
         for v in batch:
             d = deg[v]
             if not d:
-                continue
-            if slack[v] - d * (now - t0[v]) <= SATURATION_TOL:
+                dead -= 1
+            elif slack[v] - d * (now - t0[v]) <= SATURATION_TOL:
                 dying.append(v)
             else:
                 heapq.heappush(heap, (t0[v] + slack[v] / d, v))
         growing -= kill(dying, now)
+        if 2 * dead > len(heap):
+            heap = [entry for entry in heap if deg[entry[1]]]
+            heapq.heapify(heap)
+            dead = 0
     return saturated
 
 

@@ -220,7 +220,8 @@ class Bipartition:
     """Two-coloring of the vertices; side[v] is 0 (side A) or 1 (side B).
 
     component[v] numbers v's connected component; components are numbered
-    from 0 in the order of their lowest vertex.  Both arrays are read-only.
+    from 0 in the order of their lowest vertex.  Both arrays are read-only,
+    as is `lefts`, the side-0 vertices as a list, built on first use.
     It holds no reference to its graph: the graph caches it, and a
     reference back would make a cycle that only the cyclic garbage
     collector frees.
@@ -228,6 +229,11 @@ class Bipartition:
 
     side: np.ndarray
     component: np.ndarray
+
+    @cached_property
+    def lefts(self) -> list[int]:
+        """The side-0 vertices, in increasing order: every matcher's left vertices."""
+        return np.flatnonzero(self.side == 0).tolist()
 
 
 def bipartition(graph: Graph) -> Optional[Bipartition]:

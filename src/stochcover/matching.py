@@ -6,33 +6,35 @@ covers do not depend on ties at all.  The evaluator relies on this for
 bit-reproducible experiments.
 
 Every bipartite search reads one row format, each left vertex's right
-neighbours (`_right_rows`), and lays out alternating paths with one
-breadth-first search (`_layer`).  On top of them run two paths, through
-one search function (`_hopcroft_karp`: phases of one layering and an
-iterative layered depth-first search from each free left).  Callers
-that read the matching itself (the partition marginals, `mc_matching`'s
-plan and respond, VIM's base matcher) need its fixed tie order:
-`hk_on_mask`, `BipartiteBase.match` and the partition round run a layered
-augmenting-path search (Hopcroft-Karp) over rows in edge order, with
-every layering laid out in full, and read exactly the matching that
+neighbours (`_right_rows`; at its left vertices, a bipartite graph's
+`Graph.neighbours` lists are the same rows, and the evaluator's trial
+hands the cover path those when it has them), and lays out alternating
+paths with one breadth-first search (`_layer`).  On top of them run two
+paths, through one search function (`_hopcroft_karp`: phases of one
+layering and an iterative layered depth-first search from each free
+left).  Callers that read the matching itself (the partition marginals,
+`mc_matching`'s plan and respond, VIM's base matcher) need its fixed tie
+order: `hk_on_mask`, `BipartiteBase.match` and the partition round run a
+layered augmenting-path search (Hopcroft-Karp) over rows in edge order,
+with every layering laid out in full, and read exactly the matching that
 search finds; its edge ids are looked up afterwards, in
 `Graph.ids_by_neighbour`.  Callers that read only a minimum vertex cover
-(`mvc_bipartite_on_mask`, hence every exact bipartite cover in the
-strategies and every trial's optimum, and `BipartiteBase.cover`) take
-any maximum matching: Konig's cover, read off
-alternating reachability from the free left vertices, is the same for all
-of them (Dulmage-Mendelsohn).  The cover path starts a cold search from a
-greedy matching (lowest degree first), stops each layering at the first
-layer that reaches a free right vertex, and reads the cover off the last
-layering, the one that proves the matching maximum;
-`konig_cover_from_pairs` reads it off one full layering from a given
-matching.  `BipartiteBase` prepares an edge set S once, and `match` /
-`cover` answer for S plus more edges, warm-started from S's matching.
-Edges are oriented by
-`Graph.oriented_endpoints`, so a side array must put the two ends of every
-edge on different sides.  On general graphs the exact cover
-(`mvc_general_on_lists`) reads prebuilt neighbour lists, so that the
-evaluator's trial can hand it the lists that `general_vc`'s sweep reads;
+(`_max_cover`, run by `mvc_bipartite_on_mask`, `BipartiteBase.cover` and
+a trial's exact cover over its lists, hence by every exact bipartite
+cover in the strategies and every trial's optimum) take any maximum
+matching: Konig's cover, read off alternating reachability from the free
+left vertices, is the same for all of them (Dulmage-Mendelsohn).  The
+cover path starts a cold search from a greedy matching (lowest degree
+first), stops each layering at the first layer that reaches a free right
+vertex, and reads the cover off the last layering, the one that proves
+the matching maximum; `konig_cover_from_pairs` reads it off one full
+layering from a given matching.  `BipartiteBase` prepares an edge set S
+once, and `match` / `cover` answer for S plus more edges, warm-started
+from S's matching.  Edges are oriented by `Graph.oriented_endpoints`, so
+a side array must put the two ends of every edge on different sides.
+On general graphs the exact cover (`mvc_general_on_lists`) reads
+prebuilt neighbour lists, so that the evaluator's trial can hand it the
+lists that `general_vc`'s sweep reads;
 `mvc_general_on_mask` is the one-row entry that builds a mask's lists
 (`Graph.neighbours`).  It first applies the degree-0/1 rules to the whole
 graph with one worklist pass, in O(n + m); what is left, the kernel, is
@@ -101,20 +103,17 @@ def _mask_edges(graph: Graph, mask: Optional[np.ndarray]) -> Sequence[int]:
 
 
 def _right_rows(
-    graph: Graph,
-    side: np.ndarray,
-    edge_indices: Iterable[int],
-    rows: Optional[list[list[int]]] = None,
+    graph: Graph, side: np.ndarray, edge_indices: Iterable[int]
 ) -> tuple[list[list[int]], list[int]]:
     """Per left vertex, its right neighbours, and the lefts with at least one.
 
-    The rows are copies of `rows` (empty rows if None) with the right ends
-    of `edge_indices` appended, so edges given in increasing order leave
-    every row in edge order, which fixes Hopcroft-Karp's tie order.  No
-    edge ids are kept; `_pair_edges` looks up the matched ones.
+    Each row lists the right ends of `edge_indices` in the order given, so
+    edges given in increasing order leave every row in edge order, which
+    fixes Hopcroft-Karp's tie order.  No edge ids are kept; `_pair_edges`
+    looks up the matched ones.
     """
     left, right = graph.oriented_endpoints(side)
-    nbr = [[] for _ in range(graph.n)] if rows is None else [list(row) for row in rows]
+    nbr: list[list[int]] = [[] for _ in range(graph.n)]
     for e in edge_indices:
         nbr[left[e]].append(right[e])
     return nbr, [u for u in range(graph.n) if nbr[u]]
@@ -308,10 +307,11 @@ def mvc_bipartite_on_mask(
 
     Konig's cover, read off the last search of `_max_cover` started from
     an empty matching, on rows of right neighbours only.  Its caller,
-    `strategies.exact_cover_on_mask` (exact bipartite covers and every
-    trial's optimum), reads only the cover, so any maximum matching serves
-    and Hopcroft-Karp's tie order is not kept; callers that read the
-    matching use `hk_on_mask`.
+    `strategies._Trial.exact_cover` (exact bipartite covers and every
+    trial's optimum, when the trial has no neighbour lists to read),
+    reads only the cover, so any maximum matching serves and
+    Hopcroft-Karp's tie order is not kept; callers that read the matching
+    use `hk_on_mask`.
     """
     nbr, lefts = _right_rows(graph, side, _mask_edges(graph, mask))
     return _max_cover(nbr, lefts, [-1] * graph.n)
@@ -333,10 +333,11 @@ class BipartiteBase:
     over rows of its block's edge lists, and counts matched edges with no
     `pedge` list.
     `cover` is for callers that read only the cover (the half-stochastic
-    responder): it runs the cover path from S's matching on S's rows plus
-    X's edges, and may end on any maximum matching of S | X.  An `s_mask`
-    of None makes S every edge, so only an empty X avoids it.  Instances
-    are read-only after construction.
+    responder): it runs the cover path from S's matching on S's rows with
+    X's right ends appended, copying only the rows that X extends, and may
+    end on any maximum matching of S | X.  An `s_mask` of None makes S
+    every edge, so only an empty X avoids it.  Instances are read-only
+    after construction.
     """
 
     def __init__(self, graph: Graph, side: np.ndarray, s_mask: Optional[np.ndarray]):
@@ -371,12 +372,26 @@ class BipartiteBase:
         """Konig's minimum vertex cover of S | extra_mask; the mask must avoid S.
 
         `_max_cover` from S's matching, on S's rows plus the right ends of
-        the extra edges in any order: the cover does not depend on which
-        maximum matching the search ends with.
+        the extra edges.  The rows are a shallow copy of S's, in which a
+        row that an extra edge extends is replaced by a copy before the
+        first append, and the extra edges' lefts that have no S edge are
+        added after S's lefts.  Neither order matters: the cover does not
+        depend on which maximum matching the search ends with.
         """
-        extra = _mask_edges(self.graph, extra_mask)
-        nbr, lefts = _right_rows(self.graph, self.side, extra, self.nbr)
-        return _max_cover(nbr, lefts, list(self.pair))[0]
+        left, right = self.graph.oriented_endpoints(self.side)
+        s_nbr = self.nbr
+        nbr = list(s_nbr)
+        new_lefts = []
+        for e in _mask_edges(self.graph, extra_mask):
+            u = left[e]
+            row = nbr[u]
+            if row is s_nbr[u]:
+                if not row:
+                    new_lefts.append(u)
+                nbr[u] = row + [right[e]]
+            else:
+                row.append(right[e])
+        return _max_cover(nbr, self.lefts + new_lefts, list(self.pair))[0]
 
 
 # --- exact minimum vertex cover, general graphs -------------------------------

@@ -23,22 +23,25 @@ With Q empty (query_nothing, or random_query_baseline at s = 0) the answer
 is the same on every trial, so the plan solves it once and every response
 returns that read-only cover.  Otherwise, on a bipartite graph, the plan
 prepares S once (its right-neighbour rows and a maximum matching), and
-each response adds the realized Q-edges to a copy of those rows and
-warm-starts from that matching.  Every other case (a general graph, or S
-empty) answers with an exact cover of S | realized Q.  With S empty that
-is the realization itself, which `_Trial` solves once per trial for every
-such answer and for the evaluator's optimum.
+each response appends the realized Q-edges to copies of the rows they
+extend and warm-starts from that matching.  Every other case (a general
+graph, or S empty) answers with an exact cover of S | realized Q.  With S
+empty that is the realization itself, which `_Trial` solves once per trial
+for every such answer and for the evaluator's optimum.
 
 Each strategy's respond is an answerer, built once from its plan
 (`_answerer`): a function of one `_Trial`, a realization together with
 the neighbour lists and exact cover it builds on first use and shares.
-`general_vc`, when its plan queries every edge, sweeps over those same
-lists.  The evaluator builds the answerers once per block of trials and
-hands every plan the same `_Trial` for a row; `respond_strategy` is the
-one-row entry, which builds both for a single call.
+`general_vc`, when its plan queries every edge, sweeps over those lists,
+and the exact cover then reads them too, on a bipartite graph as on a
+general one, so such a trial lists its realization once.  The evaluator
+builds the answerers once per block of trials and hands every plan the
+same `_Trial` for a row; `respond_strategy` is the one-row entry, which
+builds both for a single call.
 
 Only the cover is read from these exact bipartite covers, so they take
-any maximum matching (`matching.mvc_bipartite_on_mask` and
+any maximum matching (the cover path `matching._max_cover`, on a
+realization's lists or through `mvc_bipartite_on_mask` and
 `BipartiteBase.cover`): Konig's cover is the same for all of them.  What
 reads a matching itself needs Hopcroft-Karp's fixed tie order:
 `mc_matching`'s plan (a union of matched edges) and respond call
@@ -60,6 +63,7 @@ from .graphs import Graph, bipartition
 from .matching import (
     GENERAL_OPT_BUDGET,
     BipartiteBase,
+    _max_cover,
     hk_on_mask,
     mvc_bipartite_on_mask,
     mvc_general_on_lists,
@@ -187,9 +191,10 @@ class _Trial:
     """One realization, and what the answers to it share, each built on first use.
 
     `neighbours()` is the realization's `Graph.neighbours` lists, read by
-    `general_vc` when its plan queries every edge and by the general exact
-    cover.  `exact_cover()` solves the realization once, for the trial's
-    optimum and every exact-cover answer whose S is empty.
+    `general_vc` when its plan queries every edge and by the exact cover.
+    `exact_cover()` solves the realization once, for the trial's optimum
+    and every exact-cover answer whose S is empty.  So when `general_vc`
+    has listed the realization, the realization is listed once per trial.
     """
 
     __slots__ = ("graph", "mask", "_nbrs", "_cover")
@@ -201,39 +206,35 @@ class _Trial:
         self._cover: Optional[tuple[Any, int]] = None
 
     def neighbours(self) -> Sequence[Sequence[int]]:
-        """The realization's neighbour lists, to be read and not changed.
-
-        They are kept for the general exact cover.  On a bipartite graph
-        no exact cover reads them, so they are not kept and are freed
-        before the trial's optimum is solved: holding them through that
-        solve made `general_vc`'s answers on layered(400,40) about 5%
-        slower.
-        """
-        nbrs = self._nbrs
-        if nbrs is None:
-            nbrs = self.graph.neighbours(self.mask)
-            if bipartition(self.graph) is None:
-                self._nbrs = nbrs
-        return nbrs
+        """The realization's neighbour lists, built once, to be read and not changed."""
+        if self._nbrs is None:
+            self._nbrs = self.graph.neighbours(self.mask)
+        return self._nbrs
 
     def exact_cover(self) -> tuple[Any, int]:
         """(cover, size): an exact minimum vertex cover of the realization.
 
-        On a bipartite graph, `mvc_bipartite_on_mask` from a cold start,
-        whose cover is a vertex mask: its readers read only the cover, so
-        it may end on any maximum matching.  Otherwise the reductions and
-        branch and bound of `mvc_general_on_lists`, whose cover is a list
-        of vertices, up to GENERAL_OPT_BUDGET active vertices; above it
-        CapacityError, on every call.  The cover is shared: read it and do
-        not change it.
+        On a bipartite graph, the cover path `_max_cover` from a cold
+        start, whose cover is a vertex mask: its readers read only the
+        cover, so it may end on any maximum matching.  If the trial has its
+        neighbour lists already, the path reads them as they are (a left
+        vertex's list is its row of right neighbours in edge order, and the
+        lefts are all side-0 vertices); otherwise `mvc_bipartite_on_mask`
+        builds right-neighbour rows alone, which costs less than lists in
+        both directions.  On a general graph, the reductions and branch and
+        bound of `mvc_general_on_lists`, whose cover is a list of vertices,
+        up to GENERAL_OPT_BUDGET active vertices; above it CapacityError,
+        on every call.  The cover is shared: read it and do not change it.
         """
         if self._cover is None:
             sides = bipartition(self.graph)
-            if sides is not None:
-                self._cover = mvc_bipartite_on_mask(self.graph, sides.side, self.mask)
-            else:
+            if sides is None:
                 cover = mvc_general_on_lists(self.neighbours(), GENERAL_OPT_BUDGET)
                 self._cover = (cover, len(cover))
+            elif self._nbrs is not None:
+                self._cover = _max_cover(self._nbrs, sides.lefts, [-1] * self.graph.n)
+            else:
+                self._cover = mvc_bipartite_on_mask(self.graph, sides.side, self.mask)
         return self._cover
 
 

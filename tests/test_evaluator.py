@@ -15,7 +15,7 @@ from oracles import (
     expected_stats_by_enumeration,
     reference_evaluate_strategies,
 )
-from stochcover import graphs, partition, rng, strategies
+from stochcover import graphs, matching, partition, rng, strategies
 from stochcover.errors import CapacityError, ParameterError
 from stochcover.evaluator import (
     CSV_COLUMNS,
@@ -207,6 +207,29 @@ def test_one_list_build_and_one_exact_solve_per_trial():
     assert rows == _rows(
         reference_evaluate_strategies(["general_vc", "query_everything"], graph, params, 60, 4)
     )
+
+
+def test_a_bipartite_realization_is_listed_once_per_trial(corpus):
+    # general_vc queries every edge of this graph, so its sweep lists the
+    # realization; the exact cover then reads those lists instead of
+    # building right-neighbour rows, and that one solve answers
+    # query_everything and gives the optimum
+    graph = corpus["layered(n=60,N=12)s1"].graph
+    params = StrategyParams(p=0.3)
+    ids = ["general_vc", "query_everything"]
+    assert plan_strategy("general_vc", graph, params).queried.all()
+    graph.neighbours()  # the lists of all edges, built once per graph
+    assert bipartition(graph) is not None
+    build = mock.patch.object(graphs, "_neighbour_rows", wraps=graphs._neighbour_rows)
+    rows = mock.patch.object(matching, "_right_rows", wraps=matching._right_rows)
+    # every exact bipartite solve runs one search
+    solve = mock.patch.object(matching, "_hopcroft_karp", wraps=matching._hopcroft_karp)
+    with build as builds, rows as row_builds, solve as solves:
+        got = _rows(evaluate_strategies(ids, graph, params, 60, seed=4))
+    assert builds.call_count == 60
+    assert row_builds.call_count == 0
+    assert solves.call_count == 60
+    assert got == _rows(reference_evaluate_strategies(ids, graph, params, 60, 4))
 
 
 def test_exact_cover_refusal_is_never_kept():

@@ -1,4 +1,6 @@
+import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,13 +12,14 @@ from oracles import (
     reference_general_vc_plan,
 )
 from stochcover.errors import ParameterError, StructuralError
-from stochcover import rng
+from stochcover import filling, rng
 from stochcover.evaluator import _TAG_TRIAL
 from stochcover.filling import (
     SATURATION_TOL,
     _death_times,
     general_vc_cover,
     general_vc_plan,
+    saturated_on_lists,
     saturated_on_mask,
 )
 from stochcover.graphs import Graph
@@ -299,6 +302,52 @@ def test_heap_sweep_on_the_general_er_plan():
         assert np.array_equal(
             plan.committed | saturated, reference_general_vc_cover(ref, mask[q_idx])
         )
+
+
+def _star_of_stars(leaves: list[int]) -> Graph:
+    """A centre joined to one hub per entry of `leaves`, each hub to that many leaves."""
+    edges = []
+    n = 1 + len(leaves)
+    for hub, count in enumerate(leaves, start=1):
+        edges.append((0, hub))
+        edges += [(hub, leaf) for leaf in range(n, n + count)]
+        n += count
+    return Graph(n, tuple(edges))
+
+
+def _layered_at_plan_budgets():
+    g = gen_layered_counterexample(400, 40, seed=1).graph
+    return g, general_vc_plan(g, 0.5, 0.25).residual_budget
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # a hub dies first and stops all its leaves: most entries go dead
+        lambda: (_star_of_stars([12, 9, 9, 5, 3, 1, 0]), 1.0),
+        lambda: (_star_of_stars([20] * 6 + [4] * 3), 1.0),
+        lambda: (_star_of_stars(list(range(15))), 0.5),
+        _layered_at_plan_budgets,
+    ],
+)
+def test_heap_sweep_with_mostly_dead_entries(case):
+    # vertices whose rate falls to 0 leave dead heap entries, dropped in bulk
+    # once they are more than half the heap; the sweep must still saturate
+    # the reference's vertices, each once, in order of the reference's deaths
+    g, budgets = case()
+    heapify = mock.patch.object(filling.heapq, "heapify", wraps=heapq.heapify)
+    rebuilds = 0
+    for k in range(8):
+        mask = np.ones(g.m, dtype=bool) if k == 0 else rng.bernoulli_mask(k, g.m, 0.25)
+        reference = _reference_filling_on_mask(g, mask, budgets)
+        with heapify as heapifies:
+            got = saturated_on_lists(g.neighbours(mask), np.broadcast_to(budgets, (g.n,)).tolist())
+        rebuilds += heapifies.call_count - 1  # the first heapify builds the heap
+        assert len(set(got)) == len(got)
+        assert np.flatnonzero(reference.saturated).tolist() == sorted(got)
+        deaths = reference.death[got]
+        assert np.all(deaths[1:] >= deaths[:-1])
+    assert rebuilds > 0
 
 
 def test_heap_sweep_validates_like_the_iterative_sweep():

@@ -1,3 +1,4 @@
+import copy
 import gc
 import sys
 
@@ -306,6 +307,29 @@ def test_cover_path_gives_the_reference_cover(case):
     extra = mask & ~s_mask
     if extra.any():
         assert np.array_equal(BipartiteBase(g, side, s_mask).cover(extra), ref_cover)
+
+
+def test_repeated_covers_leave_the_base_unchanged():
+    # cover copies only the rows that the extra edges extend: every call
+    # must leave S's rows, lefts and matching as they were, and extra
+    # edges at lefts with no S edge add those lefts
+    g = gen_er_bipartite(12, 12, 0.3, seed=4).graph
+    side = _sides(g).side
+    left, _right = g.oriented_endpoints(side)
+    s_mask = rng.bernoulli_mask(1, g.m, 0.3)
+    base = BipartiteBase(g, side, s_mask)
+    s_lefts = set(base.lefts)
+    new_lefts = 0
+    for k in range(20):
+        extra = rng.bernoulli_mask(100 + k, g.m, 0.5) & ~s_mask
+        mask = s_mask | extra
+        new_lefts += sum(left[e] not in s_lefts for e in np.flatnonzero(extra))
+        before = copy.deepcopy((base.nbr, base.lefts, base.pair))
+        ref_pair = reference_hk(g, side, mask)[0]
+        ref_cover = reference_konig_cover(g, side, mask, ref_pair, strict=True)
+        assert np.array_equal(base.cover(extra), ref_cover)
+        assert (base.nbr, base.lefts, base.pair) == before
+    assert new_lefts > 0
 
 
 @given(general_graphs())
