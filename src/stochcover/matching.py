@@ -14,11 +14,10 @@ paths, through one search function (`_hopcroft_karp`: phases of one
 layering and an iterative layered depth-first search from each free
 left).  Callers that read the matching itself (the partition marginals,
 `mc_matching`'s plan and respond, VIM's base matcher) need its fixed tie
-order: `hk_on_mask`, `BipartiteBase.match` and the partition round run a
-layered augmenting-path search (Hopcroft-Karp) over rows in edge order,
-with every layering laid out in full, and read exactly the matching that
-search finds; its edge ids are looked up afterwards, in
-`Graph.ids_by_neighbour`.  Callers that read only a minimum vertex cover
+order: `hk_on_mask` and the partition round run a layered augmenting-path
+search (Hopcroft-Karp) over rows in edge order, with every layering laid
+out in full, and read exactly the matching that search finds; its edge
+ids are looked up afterwards, in `Graph.ids_by_neighbour`.  Callers that read only a minimum vertex cover
 (`_max_cover`, run by `mvc_bipartite_on_mask`, `BipartiteBase.cover` and
 a trial's exact cover over its lists, hence by every exact bipartite
 cover in the strategies and every trial's optimum) take any maximum
@@ -29,9 +28,10 @@ first), stops each layering at the first layer that reaches a free right
 vertex, and reads the cover off the last layering, the one that proves
 the matching maximum; `konig_cover_from_pairs` reads it off one full
 layering from a given matching.  `BipartiteBase` prepares an edge set S
-once, and `match` / `cover` answer for S plus more edges, warm-started
-from S's matching.  Edges are oriented by `Graph.oriented_endpoints`, so
-a side array must put the two ends of every edge on different sides.
+once: its matching warm-starts the partition round's searches, and
+`cover` answers for S plus more edges from it.  Edges are oriented by
+`Graph.oriented_endpoints`, so a side array must put the two ends of
+every edge on different sides.
 On general graphs the exact cover (`mvc_general_on_lists`) reads
 prebuilt neighbour lists, so that the evaluator's trial can hand it the
 lists that `general_vc`'s sweep reads;
@@ -182,8 +182,8 @@ def _hopcroft_karp(
     suspended frames as (left vertex, index of the neighbour being tried)
     and descends into w = pair[v] when dist[w] is one more, exactly as a
     recursive search would; on success those edges become matched.  Run
-    to the end, the layerings fix the matching returned (see
-    `BipartiteBase.match`).  Returns the number of augmenting paths
+    to the end, the layerings fix the matching returned, from a cold or
+    a warm start alike.  Returns the number of augmenting paths
     applied and the last layering's dist, which proves the matching
     maximum.
     """
@@ -322,16 +322,9 @@ class BipartiteBase:
 
     Holds S's right-neighbour rows and Hopcroft-Karp's maximum matching of
     S (`pair`, `size`), both built once; `pedge`, the matched edge ids, is
-    looked up on first use.  `match` is for callers that read the matching
-    (the tests, and the partition builder's check that S's matching is
-    maximum on all of S | Q): it builds the rows of S | X in increasing
-    edge order and warm-starts Hopcroft-Karp from S's matching, so the
-    matching is the one a search over that union, warm-started from S's
-    matching, returns.  With X empty that is S's own matching, which is
-    maximum on S by construction, so it is returned with no search.  The
-    partition round makes the same search per draw from `pair` itself,
-    over rows of its block's edge lists, and counts matched edges with no
-    `pedge` list.
+    looked up on first use.  The partition round warm-starts each draw's
+    search from `pair`, over rows of S plus the draw's realized edges in
+    edge order, and counts matched edges with no `pedge` list.
     `cover` is for callers that read only the cover (the half-stochastic
     responder): it runs the cover path from S's matching on S's rows with
     X's right ends appended, copying only the rows that X extends, and may
@@ -343,7 +336,6 @@ class BipartiteBase:
     def __init__(self, graph: Graph, side: np.ndarray, s_mask: Optional[np.ndarray]):
         self.graph = graph
         self.side = side
-        self.s_mask = s_mask
         self.nbr, self.lefts = _right_rows(graph, side, _mask_edges(graph, s_mask))
         self.pair = [-1] * graph.n
         self.size = _hopcroft_karp(self.nbr, self.lefts, self.pair)[0]
@@ -352,21 +344,6 @@ class BipartiteBase:
     def pedge(self) -> list[int]:
         """Per vertex, the id of its edge in S's matching, or -1."""
         return _pair_edges(self.graph, self.lefts, self.pair)
-
-    def match(self, extra_mask: np.ndarray) -> tuple[list[int], list[int], int]:
-        """(pair, pair_edge, size) of a maximum matching of S | extra_mask.
-
-        The mask must avoid S.  The search starts from S's matching, so
-        when that is already maximum on S | extra_mask it is returned as is;
-        with an empty mask the lists are S's own, to be read and not changed.
-        """
-        if not extra_mask.any():
-            return self.pair, self.pedge, self.size
-        union = _mask_edges(self.graph, self.s_mask | extra_mask)
-        nbr, lefts = _right_rows(self.graph, self.side, union)
-        pair = list(self.pair)
-        size = self.size + _hopcroft_karp(nbr, lefts, pair)[0]
-        return pair, _pair_edges(self.graph, lefts, pair), size
 
     def cover(self, extra_mask: np.ndarray) -> np.ndarray:
         """Konig's minimum vertex cover of S | extra_mask; the mask must avoid S.

@@ -32,8 +32,9 @@ at a time.  Draws come in blocks of rows from the counter-based streams
 alone.  Each component prepares its S once: a maximum matching that
 warm-starts every draw's Hopcroft-Karp, and that answers every draw which
 realizes none of the component's Q-edges.  When that matching is also
-maximum on S | Q, as it always is with Q empty, it answers every draw, so
-such a round costs one matching whatever its sample count.  Draws that S's
+maximum on S | Q, the whole graph, as it always is with Q empty, it
+answers every draw, so such a round costs one matching and one layering
+whatever its sample count.  Draws that S's
 matching answers add its edges once per group.  For the others, one
 `np.nonzero` per chunk of draws lists every draw's S | realized-Q edges in
 increasing order (the order that fixes Hopcroft-Karp's ties), and each
@@ -43,6 +44,7 @@ component's counts once, at the end.
 
 The builder is defined for bipartite graphs only: it refuses any other
 graph with ApplicabilityError, as the strategies built on it do.
+`outcome_to_text` writes a record of the build that no command reads back.
 """
 from __future__ import annotations
 
@@ -50,13 +52,13 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ApplicabilityError, ParameterError, StructuralError
 from .graphs import EdgePartition, Graph, bipartition
-from .matching import BipartiteBase, _hopcroft_karp, _right_rows
+from .matching import BipartiteBase, _hopcroft_karp, _layer, _right_rows
 from . import rng
 
 __all__ = [
@@ -70,14 +72,11 @@ __all__ = [
     "heavy_threshold",
     "build_partition",
     "outcome_to_text",
-    "outcome_from_text",
 ]
 
 _TAG_SAMPLE = 11
 _TAG_COMPONENT = 12
 _TAG_ROUND = 13
-
-ROUTINE_BIPARTITE = "bipartite_max"  # the one matching routine an artifact may name
 
 MAX_SWAPS = 12  # cap on adopted replacements per build
 MAX_ROUNDS = 50  # default cap on the rounds a build keeps
@@ -196,10 +195,12 @@ class _ComponentRunner:
     S is prepared once as a `BipartiteBase`: a maximum matching of S, which
     warm-starts every draw's Hopcroft-Karp on S plus the realized Q-edges.
     A draw that realizes none of the component's Q-edges is answered by S's
-    matching itself.  When that matching is also maximum on all of S | Q
-    (always so with Q empty), it is maximum on every draw's view, where the
-    search returns it unchanged; it is then the answer to every draw
-    (`fixed`) and no draw is searched.
+    matching itself.  When that matching is also maximum on all of S | Q,
+    the whole graph (always so with Q empty), it is maximum on every
+    draw's view, where the search returns it unchanged; it is then the
+    answer to every draw (`fixed`) and no draw is searched.  One layering
+    from its free left vertices over every edge tells: the matching is
+    maximum exactly when the layering reaches no free right vertex.
     """
 
     def __init__(self, graph: Graph, side: np.ndarray, comp: PolicyComponent):
@@ -211,7 +212,8 @@ class _ComponentRunner:
         self.base = BipartiteBase(graph, side, self.s_mask)
         pedge = self.base.pedge
         self.s_matched = [pedge[u] for u in self.base.lefts if pedge[u] >= 0]
-        self.fixed = self.base.match(self.in_q)[2] == self.base.size
+        lefts = bipartition(graph).lefts
+        self.fixed = not _layer(graph.neighbours(), lefts, self.base.pair, [0] * graph.n, True)
 
     def count(self, draws: np.ndarray, counts: list[int]) -> None:
         """Add the edges this component matches on each row of `draws` to `counts`.
@@ -268,40 +270,6 @@ def _draw_block(
     return block, np.searchsorted(cum, u, side="right")
 
 
-def _round_setup(
-    policy: MatchingPolicy, graph: Graph, side: np.ndarray
-) -> tuple[list[_ComponentRunner], np.ndarray]:
-    """The components' runners and the running sums of their weights."""
-    runners = [_ComponentRunner(graph, side, c) for _w, c in policy.components]
-    return runners, np.cumsum([w for w, _c in policy.components])
-
-
-def _policy_draws(
-    policy: MatchingPolicy,
-    graph: Graph,
-    side: np.ndarray,
-    p: float,
-    t: int,
-    seed: int,
-) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
-    """For each of t shared draws, the draw and the policy's matched edges, in increasing order.
-
-    A view of `estimate_marginals`' count, one draw at a time: the same
-    blocks of draws, each draw counted alone by its component, and the
-    edges it counts, less the component's excluded ones, are its matched
-    edges.
-    """
-    runners, cum = _round_setup(policy, graph, side)
-    rows = max(1, BLOCK_CELLS // max(graph.m, 1))
-    for start in range(0, t, rows):
-        block, picks = _draw_block(cum, graph.m, p, seed, start, min(t, start + rows))
-        for r, k in enumerate(picks.tolist()):
-            counts = [0] * graph.m
-            runners[k].count(block[r : r + 1], counts)
-            exclude = runners[k].exclude
-            yield block[r], tuple(e for e, c in enumerate(counts) if c and e not in exclude)
-
-
 def _bipartite_side(graph: Graph) -> np.ndarray:
     sides = bipartition(graph)
     if sides is None:
@@ -332,7 +300,8 @@ def estimate_marginals(
     side = _bipartite_side(graph)
     if graph.m == 0:
         return np.zeros(0, dtype=np.float64)
-    runners, cum = _round_setup(policy, graph, side)
+    runners = [_ComponentRunner(graph, side, c) for _w, c in policy.components]
+    cum = np.cumsum([w for w, _c in policy.components])
     counts = [[0] * graph.m for _ in runners]
     rows = max(1, BLOCK_CELLS // graph.m)
     for start in range(0, t, rows):
@@ -440,18 +409,9 @@ def _mask_to_bits(mask) -> str:
     return "".join("1" if b else "0" for b in mask)
 
 
-def _bits_to_mask(bits: str) -> np.ndarray:
-    if bits.strip("01"):
-        raise StructuralError(f"mask {bits!r} is not a string of 0s and 1s")
-    return np.array([c == "1" for c in bits], dtype=bool)
-
-
-# the lines `outcome_to_text` writes before its component lines, by key
-_HEADER_KEYS = ("n", "termination", "rounds_used", "mu_hat", "objective_trace", "in_q", "components")
-_TERMINATIONS = ("case1", "round_cap")
-
-
 def outcome_to_text(outcome: PartitionOutcome) -> str:
+    """A text record of the build.  Nothing reads it back: it holds no
+    epsilon, p, seed or graph identity to check a reader's inputs against."""
     buf = io.StringIO()
     g = outcome.partition.parent
     buf.write("partition-artifact v1\n")
@@ -464,81 +424,12 @@ def outcome_to_text(outcome: PartitionOutcome) -> str:
     buf.write(f"components {len(outcome.policy.components)}\n")
     for w, c in outcome.policy.components:
         excl = ",".join(str(e) for e in sorted(c.exclude)) if c.exclude else "-"
-        # the third field is reserved: always "-", which keeps v1 artifacts unchanged
+        # the routine is always bipartite_max and the third field, reserved,
+        # always "-", which keeps v1 artifacts unchanged
         buf.write(
-            f"component {w!r} {ROUTINE_BIPARTITE} - {excl} {c.round_index} "
+            f"component {w!r} bipartite_max - {excl} {c.round_index} "
             + _mask_to_bits(c.in_q)
             + "\n"
         )
     return buf.getvalue()
 
-
-def _component_from_text(rest: str) -> tuple[float, PolicyComponent]:
-    """One component line after its key: weight, routine, reserved, exclude, round, mask."""
-    fields = rest.split(" ")
-    if len(fields) != 6:
-        raise StructuralError(f"component line has {len(fields)} fields, expected 6")
-    w, routine, reserved, excl, ridx, bits = fields
-    if routine != ROUTINE_BIPARTITE:
-        raise StructuralError(f"component routine is {routine!r}, expected {ROUTINE_BIPARTITE!r}")
-    if reserved != "-":
-        raise StructuralError(f"reserved component field is {reserved!r}, expected '-'")
-    exclude = frozenset() if excl == "-" else frozenset(int(x) for x in excl.split(","))
-    return float(w), PolicyComponent(
-        in_q=tuple(_bits_to_mask(bits).tolist()), exclude=exclude, round_index=int(ridx)
-    )
-
-
-def outcome_from_text(text: str, graph: Graph) -> PartitionOutcome:
-    """Read an `outcome_to_text` artifact of `graph`; StructuralError if it is malformed."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "partition-artifact v1":
-        raise StructuralError("not a partition artifact")
-    fields: dict[str, str] = {}
-    comp_lines: list[str] = []
-    for ln in lines[1:]:
-        key, _sep, rest = ln.partition(" ")
-        if key == "component":
-            comp_lines.append(rest)
-        elif key in fields:
-            raise StructuralError(f"artifact repeats its {key} line")
-        else:
-            fields[key] = rest
-    missing = [k for k in _HEADER_KEYS if k not in fields]
-    if missing:
-        raise StructuralError("artifact has no " + ", ".join(missing) + " line")
-    if fields["n"].split() != [str(graph.n), "m", str(graph.m)]:  # "n <n> m <m>"
-        raise StructuralError("artifact does not match this graph")
-    if fields["termination"] not in _TERMINATIONS:
-        raise StructuralError(f"unknown termination {fields['termination']!r}")
-    try:
-        comps = tuple(_component_from_text(rest) for rest in comp_lines)
-        announced = int(fields["components"])
-        trace = tuple(float(x) for x in fields["objective_trace"].split())
-        rounds_used = int(fields["rounds_used"])
-        mu_hat = float(fields["mu_hat"])
-    except StructuralError:
-        raise
-    except ValueError as exc:  # a number that does not parse
-        raise StructuralError(f"malformed partition artifact: {exc}") from exc
-    if announced != len(comps):
-        raise StructuralError(f"artifact announces {announced} components but has {len(comps)}")
-    # a kept component may carry a later slot's round index after a swap,
-    # so round indices are bounded by rounds_used, not by the trace
-    out_of_range = [name for name, ok in (
-        ("rounds_used", rounds_used >= max(1, len(trace))),
-        ("mu_hat", math.isfinite(mu_hat) and mu_hat >= 0),
-        ("objective_trace", len(trace) >= 1 and all(math.isfinite(x) for x in trace)),
-        ("component round index", all(0 <= c.round_index < rounds_used for _w, c in comps)),
-        ("exclusion", all(0 <= e < graph.m for _w, c in comps for e in c.exclude)),
-    ) if not ok]
-    if out_of_range:
-        raise StructuralError("artifact has an out-of-range " + ", ".join(out_of_range))
-    return PartitionOutcome(
-        partition=EdgePartition(graph, _bits_to_mask(fields["in_q"])),
-        policy=MatchingPolicy(graph, comps),
-        objective_trace=trace,
-        termination=fields["termination"],
-        rounds_used=rounds_used,
-        mu_hat=mu_hat,
-    )

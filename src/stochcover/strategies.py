@@ -335,7 +335,10 @@ def mc_realization_count(p: float, r_constant: float = 4.0) -> int:
     """Number of mock realizations whose matchings get unioned into Q."""
     if not (0.0 < p <= 1.0):
         raise ParameterError("p must lie in (0, 1]")
-    return max(1, int(math.ceil(r_constant * math.log(1.0 / p) / p)))
+    count = r_constant * math.log(1.0 / p) / p
+    if not (r_constant > 0 and math.isfinite(count)):  # inf * ln(1/1) is nan
+        raise ParameterError("R_constant must be positive, with R_constant ln(1/p) / p finite")
+    return max(1, int(math.ceil(count)))
 
 
 def _plan_mc_matching(graph: Graph, params: StrategyParams) -> QueryPlan:
@@ -343,6 +346,8 @@ def _plan_mc_matching(graph: Graph, params: StrategyParams) -> QueryPlan:
     r_override = params.over("R", None)
     if r_override is not None:
         r = int(r_override)
+        if r < 0:
+            raise ParameterError("R must be nonnegative")
     else:
         r = mc_realization_count(params.p, float(params.over("R_constant", 4.0)))
     queried = np.zeros(graph.m, dtype=bool)

@@ -28,8 +28,8 @@ production heap sweep on any mask and budgets.
 
 `reference_policy_draws` and `reference_estimate_marginals` are the
 package's earlier partition round: one draw, one fresh warm-started
-matching per draw.  The block-drawn round must yield the same draws and
-matchings and bitwise the same marginals.
+matching per draw.  The block-drawn round must yield bitwise the same
+marginals.
 
 `reference_evaluate_strategies` is the package's earlier evaluation loop:
 one closure per trial that draws the realization, asks each plan through
@@ -77,7 +77,7 @@ from stochcover.partition import (
     _TAG_COMPONENT,
     _TAG_SAMPLE,
     MatchingPolicy,
-    _policy_draws,
+    estimate_marginals,
 )
 from stochcover.strategies import (
     _TAG_RQB,
@@ -227,19 +227,21 @@ def policy_matching_sizes(
 ) -> tuple[float, float]:
     """Mean policy matching size vs mean exact maximum on the same draws.
 
-    The exact side solves the half-stochastic graph of `partition` for each
-    of the draws `estimate_marginals` makes; bipartite graphs only.
+    The policy's mean size is the sum of its `estimate_marginals`.  The
+    exact side solves the half-stochastic graph of `partition` for each of
+    the draws `estimate_marginals` makes, drawn one at a time as
+    `reference_policy_draws` draws them; bipartite graphs only.
     """
     sides = bipartition(graph)
     if sides is None:
         raise StructuralError("exact comparison needs a bipartite graph")
+    mean_policy = float(np.sum(estimate_marginals(policy, partition, graph, p, t, seed)))
     s_mask = ~partition.in_q
-    tot_policy = 0
     tot_opt = 0
-    for mask, matched in _policy_draws(policy, graph, sides.side, p, t, seed):
-        tot_policy += len(matched)
+    for s in range(t):
+        mask = rng.bernoulli_mask(rng.derive_seed(seed, _TAG_SAMPLE, s), graph.m, p)
         tot_opt += hk_on_mask(graph, sides.side, s_mask | mask)[2]
-    return tot_policy / t, tot_opt / t
+    return mean_policy, tot_opt / t
 
 
 def conditional_match_probs(

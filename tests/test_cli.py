@@ -1,12 +1,10 @@
 import csv
 import io
 
-import numpy as np
-
 from stochcover.cli import main
 from stochcover.evaluator import CSV_COLUMNS
 from stochcover.graphs import read_graph_text
-from stochcover.partition import outcome_from_text
+from stochcover.partition import PartitionConfig, build_partition, outcome_to_text
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +195,14 @@ def test_error_paths_exit_two(tmp_path, capsys):
     )
     assert code == 2 and "unknown override" in stderr
 
+    for bad in ("R=-3", "R_constant=-5", "R_constant=inf"):
+        code, stdout, stderr = run_cli(
+            capsys, "run", "--family", "perfect_matching", "--n", "6", "--strategy",
+            "mc_matching", "--p", "0.5", "--override", bad,
+        )
+        assert (code, stdout) == (2, "") and stderr.startswith("error: R"), bad
+        assert stderr.count("\n") == 1, bad
+
 
 def test_partition_subcommand_round_trips(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
@@ -211,10 +217,10 @@ def test_partition_subcommand_round_trips(tmp_path, capsys):
     )
     assert code == 0
     assert "edges queried" in stdout
+    # the file holds exactly the builder's artifact for the same flags
     graph = read_graph_text(str(gfile))
-    outcome = outcome_from_text(pfile.read_text(), graph)
-    assert outcome.termination in ("case1", "round_cap")
-    assert outcome.partition.in_q.dtype == np.bool_
+    cfg = PartitionConfig(epsilon=0.4, p=0.5, samples_per_round=300, seed=1)
+    assert pfile.read_text() == outcome_to_text(build_partition(graph, cfg))
 
 
 def test_partition_stdout_mode(tmp_path, capsys):

@@ -10,13 +10,14 @@ from oracles import (
     brute_max_matching,
     brute_min_vertex_cover,
     is_valid_cover,
+    reference_estimate_marginals,
     reference_hk,
     reference_konig_cover,
     reference_mvc_general,
 )
 from stochcover import rng
 from stochcover.errors import CapacityError, StructuralError
-from stochcover.graphs import Graph, bipartition
+from stochcover.graphs import EdgePartition, Graph, bipartition
 from stochcover.instances import gen_er, gen_er_bipartite
 from stochcover.matching import (
     BipartiteBase,
@@ -25,6 +26,12 @@ from stochcover.matching import (
     konig_cover_from_pairs,
     mvc_bipartite_on_mask,
     mvc_general_on_mask,
+)
+from stochcover.partition import (
+    MatchingPolicy,
+    PolicyComponent,
+    _ComponentRunner,
+    estimate_marginals,
 )
 from stochcover.strategies import _half_stochastic_plan, respond_strategy
 
@@ -85,19 +92,6 @@ def test_hk_on_random_mask(g, seed):
     assert size == brute_max_matching(g, mask)
 
 
-@given(bipartite_graphs())
-def test_warm_start_reaches_same_size(g):
-    sides = _sides(g)
-    if g.m < 2:
-        return
-    # warm-start from the matching of the first half of the edges
-    half = np.zeros(g.m, dtype=bool)
-    half[: g.m // 2] = True
-    _p2, _pe2, warm_size = BipartiteBase(g, sides.side, half).match(~half)
-    _p3, _pe3, cold_size = hk_on_mask(g, sides.side, None)
-    assert warm_size == cold_size
-
-
 def test_hk_is_component_local():
     # matchings of a disjoint union restricted to one component equal the
     # matchings of that component run alone; the conditional-row enumeration
@@ -140,9 +134,11 @@ def test_hk_deep_augmenting_path_keeps_recursion_limit():
     # S is the shifted matching, whose maximum matching is itself
     base = BipartiteBase(g, _sides(g).side, shifted)
     assert sorted({e for e in base.pedge if e >= 0}) == list(range(1, n - 2, 2))
-    _pair, out_pedge, size = base.match(~shifted)
-    assert size == k + 1
-    assert sorted({e for e in out_pedge if e >= 0}) == list(range(0, n - 1, 2))
+    # one draw at p = 1 realizes every Q-edge, so the partition round's
+    # search warm-started from S's matching matches exactly the even edges
+    policy = MatchingPolicy(g, ((1.0, PolicyComponent(in_q=tuple((~shifted).tolist()))),))
+    q = estimate_marginals(policy, EdgePartition(g, ~shifted), g, 1.0, 1, seed=0)
+    assert q.tolist() == [1.0 if e % 2 == 0 else 0.0 for e in range(g.m)]
     assert sys.getrecursionlimit() == limit
 
 
@@ -170,9 +166,7 @@ def test_kernel_returns_the_reference_matching(case):
     # the warm start is a maximum matching of `warm`, so it is BipartiteBase's own
     base = BipartiteBase(g, side, warm)
     assert (base.pair, base.pedge) == (init_pair, init_pedge)
-    ref = reference_hk(g, side, mask, **warm_args)
-    assert base.match(mask & ~warm) == ref
-    ref_pair, _ref_pedge, _ref_size = ref
+    ref_pair, _ref_pedge, _ref_size = reference_hk(g, side, mask, **warm_args)
     ref_cover = reference_konig_cover(g, side, mask, ref_pair, strict=True)
     assert np.array_equal(base.cover(mask & ~warm), ref_cover)
     assert np.array_equal(konig_cover_from_pairs(g, side, mask, ref_pair), ref_cover)
@@ -197,10 +191,13 @@ def test_tie_order_on_the_partition_builders_graph(p):
     for seed in range(20):
         mask = rng.bernoulli_mask(seed, g.m, p)
         assert hk_on_mask(g, side, mask) == reference_hk(g, side, mask)
-        s_mask = mask & rng.bernoulli_mask(1000 + seed, g.m, 0.5)
-        warm_pair, warm_pedge, _size = reference_hk(g, side, s_mask)
-        ref = reference_hk(g, side, mask, init_pair=warm_pair, init_pair_edge=warm_pedge)
-        assert BipartiteBase(g, side, s_mask).match(mask & ~s_mask) == ref
+    # and the partition round's warm-started searches, through the marginals
+    # they add up to: S is the component's own s_mask
+    for seed in range(5):
+        in_q = rng.bernoulli_mask(1000 + seed, g.m, 0.5)
+        policy = MatchingPolicy(g, ((1.0, PolicyComponent(in_q=tuple(in_q.tolist()))),))
+        q = estimate_marginals(policy, EdgePartition(g, in_q), g, p, 100, seed)
+        assert np.array_equal(q, reference_estimate_marginals(policy, g, p, 100, seed))
 
 
 # path 0-1-2-3 matched on its middle edge only, which 0-1-2-3 augments
@@ -252,7 +249,6 @@ def test_prebuilt_s_gives_the_reference_cover(case):
     ref = reference_hk(g, side, union, init_pair=warm_pair, init_pair_edge=warm_pedge)
     ref_cover = reference_konig_cover(g, side, union, ref[0], strict=True)
     base = BipartiteBase(g, side, s_mask)
-    assert base.match(realized) == ref
     assert np.array_equal(base.cover(realized), ref_cover)
     # and the half-stochastic responder answers with it, on the graph's own sides
     own = _sides(g).side
@@ -261,6 +257,17 @@ def test_prebuilt_s_gives_the_reference_cover(case):
     plan = _half_stochastic_plan("random_query_baseline", g, queried)
     answer = respond_strategy(plan, realized[plan.queried_indices])
     assert np.array_equal(answer.cover, reference_konig_cover(g, own, union, own_ref[0]))
+
+
+@given(half_stochastic_cases())
+@settings(max_examples=150)
+def test_a_component_is_fixed_exactly_when_s_holds_a_maximum_matching(case):
+    # the partition round answers every draw with S's matching (`fixed`)
+    # exactly when that matching is maximum on the whole graph
+    g, side, queried, _realized = case
+    comp = PolicyComponent(in_q=tuple(queried.tolist()))
+    nu = reference_hk(g, side)[2]
+    assert _ComponentRunner(g, side, comp).fixed == (BipartiteBase(g, side, ~queried).size == nu)
 
 
 @st.composite

@@ -172,6 +172,25 @@ def test_mc_realization_count_examples():
         mc_realization_count(0.0)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"R": -3}, {"R_constant": -5.0}, {"R_constant": 0.0}, {"R_constant": math.inf},
+     {"R_constant": math.nan}, {"R_constant": 1e308}],
+    ids=["R_negative", "constant_negative", "constant_zero", "constant_inf", "constant_nan",
+         "count_overflows"],
+)
+def test_mc_matching_refuses_a_negative_r_or_a_bad_r_constant(overrides):
+    # R = 0 is allowed, like s = 0: it queries nothing; a bad constant used
+    # to run as one realization or overflow in ceil
+    g = gen_er_bipartite(6, 6, 0.4, seed=8).graph
+    with pytest.raises(ParameterError):
+        plan_strategy("mc_matching", g, StrategyParams(p=0.3, overrides=overrides))
+    none = plan_strategy("mc_matching", g, StrategyParams(p=0.3, overrides={"R": 0}))
+    assert none.payload[1] == 0 and not none.queried.any()
+    with pytest.raises(ParameterError):
+        mc_realization_count(1.0, math.inf)  # inf * ln(1) is nan
+
+
 def test_one_plus_eps_payload_and_inner_override():
     # one_plus_eps_vc queries exactly the mc_matching plan it is composed of:
     # a seed derived from the caller's, R_constant 12, and none of the
