@@ -92,6 +92,21 @@ def test_hk_on_random_mask(g, seed):
     assert size == brute_max_matching(g, mask)
 
 
+@given(bipartite_graphs())
+def test_warm_start_reaches_same_size(g):
+    sides = _sides(g)
+    if g.m < 2:
+        return
+    # the cover path warm-starts from the matching of the first half of the
+    # edges; by Konig its cover is as large as a cold-start maximum matching
+    half = np.zeros(g.m, dtype=bool)
+    half[: g.m // 2] = True
+    warm = BipartiteBase(g, sides.side, half).cover(~half)
+    _p3, _pe3, cold_size = hk_on_mask(g, sides.side, None)
+    assert int(warm.sum()) == cold_size
+    assert is_valid_cover(g, warm)
+
+
 def test_hk_is_component_local():
     # matchings of a disjoint union restricted to one component equal the
     # matchings of that component run alone; the conditional-row enumeration
