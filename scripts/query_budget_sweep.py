@@ -20,6 +20,15 @@ from stochcover.instances import gen_er_bipartite
 from stochcover.strategies import StrategyParams, mc_realization_count
 
 
+def _cell(value) -> str:
+    """A ratio or its half-width to three places, or "-" where the report has none.
+
+    The ratio is missing when the mean optimum is 0, its interval below two
+    trials.
+    """
+    return "-" if value is None else f"{value:.3f}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=2000)
@@ -49,7 +58,7 @@ def main(argv=None) -> int:
             )[0]
             star = " *" if r == default_r else ""
             print(
-                f"{p:>4} {r:>4} {rep.ratio:>7.3f} {rep.ratio_ci95:>7.3f}"
+                f"{p:>4} {r:>4} {_cell(rep.ratio):>7} {_cell(rep.ratio_ci95):>7}"
                 f" {rep.max_pv_queries:>7} {rep.total_queries:>8}{star}"
             )
             all_reports.append(rep)

@@ -21,23 +21,27 @@ cover of realized-Q union S, where S is the unqueried edges.
 query_everything (S empty) and query_nothing (Q empty) are its two ends.
 With Q empty (query_nothing, or random_query_baseline at s = 0) the answer
 is the same on every trial, so the plan solves it once and every response
-returns that read-only cover.  Otherwise, on a bipartite graph, the plan
-prepares S once (its right-neighbour rows and a maximum matching), and
-each response appends the realized Q-edges to copies of the rows they
-extend and warm-starts from that matching.  Every other case (a general
-graph, or S empty) answers with an exact cover of S | realized Q.  With S
-empty that is the realization itself, which `_Trial` solves once per trial
-for every such answer and for the evaluator's optimum.
+returns that read-only cover.  With S empty the answer is the exact cover
+of the realization itself, which `_Trial` solves once per trial for every
+such answer and for the evaluator's optimum.  Otherwise, on a bipartite
+graph, the plan prepares S once (its right-neighbour rows and a maximum
+matching), and each response appends the realized Q-edges to copies of the
+rows they extend and warm-starts from that matching.  On a general graph
+(random_query_baseline is the one such strategy with S and Q nonempty)
+the answerer lists S's edges once, and each response appends the S edges
+the trial did not realize to copies of the trial's neighbour lists that
+they extend, then solves that exact cover of S | realized Q.
 
 Each strategy's respond is an answerer, built once from its plan
 (`_answerer`): a function of one `_Trial`, a realization together with
 the neighbour lists and exact cover it builds on first use and shares.
 `general_vc`, when its plan queries every edge, sweeps over those lists,
 and the exact cover then reads them too, on a bipartite graph as on a
-general one, so such a trial lists its realization once.  The evaluator
-builds the answerers once per block of trials and hands every plan the
-same `_Trial` for a row; `respond_strategy` is the one-row entry, which
-builds both for a single call.
+general one, as does random_query_baseline's answer on a general graph,
+so such a trial lists its realization once.  The evaluator builds the
+answerers once per block of trials and hands every plan the same `_Trial`
+for a row; `respond_strategy` is the one-row entry, which builds both for
+a single call.
 
 Only the cover is read from these exact bipartite covers, so they take
 any maximum matching (the cover path `matching._max_cover`, on a
@@ -53,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -191,10 +196,13 @@ class _Trial:
     """One realization, and what the answers to it share, each built on first use.
 
     `neighbours()` is the realization's `Graph.neighbours` lists, read by
-    `general_vc` when its plan queries every edge and by the exact cover.
-    `exact_cover()` solves the realization once, for the trial's optimum
-    and every exact-cover answer whose S is empty.  So when `general_vc`
-    has listed the realization, the realization is listed once per trial.
+    `general_vc` when its plan queries every edge, by the exact cover, and
+    on a general graph by the exact cover of S | realized Q, which extends
+    copies of the rows it adds S edges to.  `exact_cover()` solves the
+    realization once, for the trial's optimum and every exact-cover answer
+    whose S is empty.  So when `general_vc` has listed the realization, or
+    the graph is not bipartite, the realization is listed at most once per
+    trial.
     """
 
     __slots__ = ("graph", "mask", "_nbrs", "_cover")
@@ -274,6 +282,20 @@ def _half_stochastic_plan(
 
 
 def _answer_half_stochastic(plan: QueryPlan) -> Callable[[_Trial], Any]:
+    """An exact cover of S | the trial's realized Q-edges.
+
+    With Q empty, the plan's one read-only cover.  On a bipartite graph
+    with S nonempty, `BipartiteBase.cover` warm-started from the prepared
+    S.  With S empty, the trial's own exact cover.  Otherwise (a general
+    graph, S and Q nonempty) `mvc_general_on_lists` over the trial's
+    neighbour lists plus the S edges the trial did not realize: S's edges
+    are listed here once, and per trial a row is copied (the trial's lists
+    may be the graph's shared all-edge tuples) before its first append.
+    That edge set is exactly S | mask, so the active-vertex count, every
+    CapacityError and every cover size are those of
+    `_Trial(graph, S | mask).exact_cover()`; only which minimum cover
+    comes back may differ, since appended rows are not in edge order.
+    """
     payload: _HalfStochasticPayload = plan.payload
     queried = plan.queried
     fixed, s_base, s_mask = payload.fixed, payload.s_base, payload.s_mask
@@ -284,8 +306,28 @@ def _answer_half_stochastic(plan: QueryPlan) -> Callable[[_Trial], Any]:
     if not s_mask.any():
         # the realized Q-edges are the realization, whose solve the optimum shares
         return lambda trial: trial.exact_cover()[0]
+    s_idx = np.flatnonzero(s_mask)
     graph = plan.graph
-    return lambda trial: _Trial(graph, s_mask | trial.mask).exact_cover()[0]
+    s_ends = list(zip(graph.edge_u[s_idx].tolist(), graph.edge_v[s_idx].tolist()))
+
+    def answer(trial: _Trial) -> list[int]:
+        realized = trial.neighbours()
+        nbrs = list(realized)
+        for u, v in compress(s_ends, (~trial.mask[s_idx]).tolist()):
+            # copy a row before its first append: the trial's rows are shared
+            row = nbrs[u]
+            if row is realized[u]:
+                nbrs[u] = [*row, v]
+            else:
+                row.append(v)
+            row = nbrs[v]
+            if row is realized[v]:
+                nbrs[v] = [*row, u]
+            else:
+                row.append(u)
+        return mvc_general_on_lists(nbrs, GENERAL_OPT_BUDGET)
+
+    return answer
 
 
 # --- general_vc ---------------------------------------------------------------

@@ -209,6 +209,24 @@ def test_one_list_build_and_one_exact_solve_per_trial():
     )
 
 
+def test_a_general_realization_is_listed_once_with_the_baseline():
+    # the baseline's exact cover of S | realized Q extends the trial's lists
+    # by the S edges it did not realize, so general_vc's sweep, that answer
+    # and the optimum all read one listing of the realization
+    graph = gen_er(50, 0.1, seed=0).graph
+    params = StrategyParams(p=0.3)
+    ids = ["general_vc", "random_query_baseline", "query_everything"]
+    assert plan_strategy("general_vc", graph, params).queried.all()
+    baseline = plan_strategy("random_query_baseline", graph, params)
+    assert baseline.queried.any() and not baseline.queried.all()
+    graph.neighbours()  # the lists of all edges, built once per graph
+    build = mock.patch.object(graphs, "_neighbour_rows", wraps=graphs._neighbour_rows)
+    with build as builds:
+        rows = _rows(evaluate_strategies(ids, graph, params, 60, seed=4))
+    assert builds.call_count == 60
+    assert rows == _rows(reference_evaluate_strategies(ids, graph, params, 60, 4))
+
+
 def test_a_bipartite_realization_is_listed_once_per_trial(corpus):
     # general_vc queries every edge of this graph, so its sweep lists the
     # realization; the exact cover then reads those lists instead of

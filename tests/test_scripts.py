@@ -32,6 +32,14 @@ def test_query_budget_sweep_rows(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(rows)
 
 
+def test_query_budget_sweep_with_one_trial(tmp_path, capsys):
+    # one trial gives no interval, so every ci95 cell reads "-"
+    rows = run_script("query_budget_sweep", ["--trials", "1", "--na", "6"], tmp_path / "s.csv")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(rows) == 1 + 7 + 6 + 7
+    assert all(line.split()[3] == "-" for line in lines[1:])
+
+
 def test_separation_demo_rows(tmp_path, capsys):
     rows = run_script("separation_demo", ["--trials", "2"], tmp_path / "d.csv")
     # four layered sizes, two strategies each

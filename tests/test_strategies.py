@@ -9,11 +9,12 @@ from oracles import (
     brute_min_vertex_cover,
     is_valid_cover,
     is_valid_matching,
+    reference_mvc_general,
     reference_random_query_mask,
 )
 from stochcover import rng
-from stochcover.errors import ApplicabilityError, ParameterError, StructuralError
-from stochcover.graphs import Graph
+from stochcover.errors import ApplicabilityError, CapacityError, ParameterError, StructuralError
+from stochcover.graphs import Graph, bipartition
 from stochcover.instances import (
     gen_er,
     gen_er_bipartite,
@@ -21,9 +22,13 @@ from stochcover.instances import (
     gen_regular_bipartite,
 )
 from stochcover.strategies import (
+    GENERAL_OPT_BUDGET,
     STRATEGY_IDS,
     _TAG_MC,
     StrategyParams,
+    _answerer,
+    _Trial,
+    _vertex_mask,
     exact_cover_on_mask,
     mc_realization_count,
     plan_strategy,
@@ -265,3 +270,56 @@ def test_query_everything_is_an_exact_realized_cover():
     answer = respond_strategy(plan, mask)
     assert answer.size == brute_min_vertex_cover(g, mask)
     assert is_valid_cover(g, answer.cover, edge_mask=mask)
+
+
+def _refusal(solve):
+    try:
+        solve()
+    except CapacityError as exc:
+        return str(exc)
+    return None
+
+
+def test_general_baseline_covers_s_and_the_trials_realization():
+    # on a general graph the baseline answers from the trial's own lists
+    # plus the S edges its mask does not realize: an exact cover of
+    # S | mask that leaves those lists (at the all-True mask, the graph's
+    # shared tuples) as they were
+    cases = [(gen_er(30, 0.12, seed=gseed).graph, s) for gseed in (0, 3) for s in (1, 2)]
+    cases += [(gen_er(40, 0.1, seed=5).graph, s) for s in (1, 2)]
+    for g, s in cases:
+        assert bipartition(g) is None
+        plan = plan_strategy("random_query_baseline", g, StrategyParams(p=0.3, overrides={"s": s}))
+        s_mask = ~plan.queried
+        assert s_mask.any() and plan.queried.any()
+        answer = _answerer(plan)
+        masks = [np.ones(g.m, dtype=bool), np.zeros(g.m, dtype=bool), plan.queried.copy()]
+        for k in range(30):
+            mask = rng.bernoulli_mask(k, g.m, (0.15, 0.3, 0.6)[k % 3])
+            masks += [mask, mask & plan.queried]  # the second realizes no S edge
+        for mask in masks:
+            trial = _Trial(g, mask)
+            cover = _vertex_mask(g.n, answer(trial))
+            assert is_valid_cover(g, cover, edge_mask=s_mask | mask)
+            size = reference_mvc_general(g, s_mask | mask, GENERAL_OPT_BUDGET)[1]
+            assert np.count_nonzero(cover) == size
+            assert respond_strategy(plan, mask[plan.queried_indices]).size == size
+            assert [list(row) for row in trial.neighbours()] == [
+                list(row) for row in g.neighbours(mask)
+            ]
+
+
+def test_general_baseline_refuses_as_the_union_would():
+    # the evaluator's refused_answer case: the answer refuses exactly the
+    # masks whose S | mask the exact cover refuses, with the same message
+    g = gen_er(80, 0.04, seed=2).graph
+    plan = plan_strategy("random_query_baseline", g, StrategyParams(p=0.3, seed=3))
+    s_mask = ~plan.queried
+    answer = _answerer(plan)
+    refused = 0
+    for k in range(60):
+        mask = rng.bernoulli_mask(k, g.m, 0.3)
+        expected = _refusal(lambda: _Trial(g, s_mask | mask).exact_cover())
+        assert _refusal(lambda: answer(_Trial(g, mask))) == expected
+        refused += expected is not None
+    assert 0 < refused < 60
